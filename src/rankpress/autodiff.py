@@ -34,7 +34,6 @@ __all__ = [
     "reshape",
     "tsum",
     "tmean",
-    "stack_scalars",
     "gradient_check",
 ]
 
@@ -318,11 +317,6 @@ def tmean(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(g / n, a.data.shape))
 
     return Tensor(out_data, _parents=(a,), _backward=bw)
-
-
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-d vector."""
-    return concat([reshape(s, (1,)) for s in scalars], axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,6 @@ from .optim import NumericalError
 from .pruning import StructureError
 from .synthdata import DataFormatError
 
-_OVERRIDE_KEYS = [
-    "seed", "channels", "patch", "conv_widths", "dense_widths", "kernel", "levels",
-    "train_sources", "pairs_per_source", "val_sources", "val_pairs_per_source",
-    "eval_sources", "cross_content", "lr", "beta1", "beta2", "lam", "alpha",
-    "epochs", "batch_size",
-]
-
-
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
@@ -58,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-teacher", help="phase 0: train the dense teacher")
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
     p = sub.add_parser("sparsify", help="phase 1: L1 sparsity training")
     _add_common(p)
@@ -82,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-data", required=True)
     p.add_argument("--ckpt", action="append", required=True,
                    help="checkpoint to evaluate (repeatable; first vs last compared)")
-    p.add_argument("--format", choices=("csv", "table"), default="table")
 
     return parser
 
@@ -95,7 +85,7 @@ def run(argv=None) -> int:
         if args.command == "gen-data":
             pipeline.gen_data(cfg, args.out)
         elif args.command == "train-teacher":
-            pipeline.train_teacher(cfg, args.data, args.out, resume=args.resume)
+            pipeline.train_teacher(cfg, args.data, args.out)
         elif args.command == "sparsify":
             pipeline.sparsify(cfg, args.data, args.teacher, args.out, lam=args.lam)
         elif args.command == "prune":
@@ -104,8 +94,7 @@ def run(argv=None) -> int:
             pipeline.distill(cfg, args.data, args.teacher, args.student, args.out,
                              freeze_check=args.freeze_check)
         elif args.command == "eval":
-            text = pipeline.evaluate(cfg, args.eval_data, args.ckpt, args.out, fmt=args.format)
-            print(text)
+            print(pipeline.evaluate(cfg, args.eval_data, args.ckpt, args.out))
     except (ConfigError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .optim import (
     restore,
     snapshot,
 )
-from .synthdata import PairInstance
 
 
 @dataclass
@@ -95,9 +94,7 @@ def total_loss(bp: BatchPredictions, alpha: float = 0.1) -> Tensor:
     return multilevel_loss(bp) + alpha * ranking_bce_loss(bp.student, bp.labels)
 
 
-def teacher_probabilities(
-    spec: NetworkSpec, params: ParameterSet, batch: Sequence[PairInstance]
-) -> np.ndarray:
+def teacher_probabilities(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) -> np.ndarray:
     """Forward the frozen teacher; returns plain probabilities (no gradients)."""
     return predict_batch(spec, params, batch).data.copy()
 
@@ -107,9 +104,9 @@ def distill_train(
     teacher_params: ParameterSet,
     student_spec: NetworkSpec,
     student_params: ParameterSet,
-    train_set: Sequence[PairInstance],
+    train_set: np.ndarray,
     config: DistillConfig,
-    val_set: Optional[Sequence[PairInstance]] = None,
+    val_set: Optional[np.ndarray] = None,
     log_path=None,
 ) -> list[dict]:
     """Train the student on the multi-level objective; the teacher stays frozen.
@@ -117,7 +114,7 @@ def distill_train(
     Returns per-epoch log rows with all four loss terms. A non-finite loss
     restores the last good epoch and stops.
     """
-    if not train_set:
+    if len(train_set) == 0:
         raise ValueError("empty training set")
     teacher_before = {k: p.data.copy() for k, p in teacher_params.items()}
     oc = config.optim
@@ -131,8 +128,8 @@ def distill_train(
         nb = 0
         diverged = False
         for start in range(0, len(perm), config.batch_size):
-            batch = [train_set[i] for i in perm[start : start + config.batch_size]]
-            labels = np.array([b.label for b in batch], dtype=np.float64)
+            batch = train_set[perm[start : start + config.batch_size]]
+            labels = batch["label"]
             p_t = teacher_probabilities(teacher_spec, teacher_params, batch)
             for p in student_params.values():
                 p.zero_grad()
@@ -163,9 +160,8 @@ def distill_train(
             break
         row = {"epoch": epoch, "diverged": 0}
         row.update({k: v / nb for k, v in sums.items()})
-        row["val_acc"] = (
-            pair_accuracy(student_spec, student_params, val_set) if val_set else float("nan")
-        )
+        row["val_acc"] = (pair_accuracy(student_spec, student_params, val_set)
+                          if val_set is not None and len(val_set) else float("nan"))
         log.append(row)
         last_good = snapshot(student_params)
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .nets import NetworkSpec, ParameterSet, score_batch
-from .synthdata import PairInstance
 
 EPS_PROB = 1e-7
 
@@ -127,33 +126,23 @@ def weight_l1(params: ParameterSet) -> float:
     return float(sum(np.abs(p.data).sum() for n, p in params.items() if n.endswith(".weight")))
 
 
-def _batch_arrays(batch: Sequence[PairInstance]):
-    r1 = np.stack([b.r1 for b in batch])
-    d1 = np.stack([b.d1 for b in batch])
-    r2 = np.stack([b.r2 for b in batch])
-    d2 = np.stack([b.d2 for b in batch])
-    labels = np.array([b.label for b in batch], dtype=np.float64)
-    return r1, d1, r2, d2, labels
-
-
-def predict_batch(spec: NetworkSpec, params: ParameterSet, batch: Sequence[PairInstance]) -> Tensor:
-    """Preference probabilities for a batch, differentiable w.r.t. params."""
-    r1, d1, r2, d2, _ = _batch_arrays(batch)
-    s1 = score_batch(spec, params, r1, d1)
-    s2 = score_batch(spec, params, r2, d2)
+def predict_batch(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) -> Tensor:
+    """Preference probabilities for ``pair_dtype`` records, differentiable w.r.t. params."""
+    patches = batch["patches"]
+    s1 = score_batch(spec, params, patches[:, 0], patches[:, 1])
+    s2 = score_batch(spec, params, patches[:, 2], patches[:, 3])
     return ad.sigmoid(s1 - s2)
 
 
-def pair_accuracy(spec: NetworkSpec, params: ParameterSet, dataset: Sequence[PairInstance],
+def pair_accuracy(spec: NetworkSpec, params: ParameterSet, dataset: np.ndarray,
                   batch_size: int = 64) -> float:
-    if not dataset:
+    if len(dataset) == 0:
         raise ValueError("empty dataset")
     correct = 0
     for start in range(0, len(dataset), batch_size):
         batch = dataset[start : start + batch_size]
         p = predict_batch(spec, params, batch).data
-        labels = np.array([b.label for b in batch])
-        correct += int(np.sum((p > 0.5) == (labels == 1)))
+        correct += int(np.sum((p > 0.5) == (batch["label"] == 1)))
     return correct / len(dataset)
 
 
@@ -169,33 +158,33 @@ def restore(params: ParameterSet, snap: dict[str, np.ndarray]):
 def train_ranking(
     spec: NetworkSpec,
     params: ParameterSet,
-    train_set: Sequence[PairInstance],
+    train_set: np.ndarray,
     config: OptimizerConfig,
-    val_set: Optional[Sequence[PairInstance]] = None,
+    val_set: Optional[np.ndarray] = None,
     sparsify: bool = False,
-    start_epoch: int = 0,
     log_path=None,
 ) -> list[dict]:
-    """Train the ranking objective; with ``sparsify`` adds the L1 machinery.
+    """Train the ranking objective on ``pair_dtype`` records; with ``sparsify``
+    adds the L1 machinery.
 
     Returns per-epoch log rows. On a non-finite loss the last good epoch's
     parameters are restored and training stops (the event is logged).
     """
-    if not train_set:
+    if len(train_set) == 0:
         raise ValueError("empty training set")
     opt = AdaMax(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     switch = config.resolved_switch()
     log: list[dict] = []
     last_good = snapshot(params)
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xE0, epoch)))
         perm = rng.permutation(len(train_set))
         losses = []
         hits = 0
         diverged = False
         for start in range(0, len(perm), config.batch_size):
-            batch = [train_set[i] for i in perm[start : start + config.batch_size]]
-            labels = np.array([b.label for b in batch], dtype=np.float64)
+            batch = train_set[perm[start : start + config.batch_size]]
+            labels = batch["label"]
             for p in params.values():
                 p.zero_grad()
             probs = predict_batch(spec, params, batch)
@@ -230,7 +219,8 @@ def train_ranking(
             "l1": weight_l1(params),
             "nonzero": nonzero_weight_count(params),
             "acc": hits / len(train_set),
-            "val_acc": pair_accuracy(spec, params, val_set) if val_set else float("nan"),
+            "val_acc": (pair_accuracy(spec, params, val_set)
+                        if val_set is not None and len(val_set) else float("nan")),
             "diverged": 0,
         }
         log.append(row)
@@ -238,11 +228,6 @@ def train_ranking(
     if log_path is not None:
         write_training_log(log_path, log)
     return log
-
-
-def train_sparse(spec, params, train_set, config, val_set=None, log_path=None) -> list[dict]:
-    return train_ranking(spec, params, train_set, config, val_set=val_set,
-                         sparsify=True, log_path=log_path)
 
 
 def write_training_log(path, log: list[dict]):

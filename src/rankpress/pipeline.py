@@ -153,23 +153,17 @@ def _load_pair_data(datadir):
     return train, val
 
 
-def train_teacher(cfg: PipelineConfig, datadir, outdir, resume=None) -> Path:
+def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
     outdir = _ensure_outdir(outdir)
     train, val = _load_pair_data(datadir)
-    oconf = cfg.optimizer_config(lam=0.0)
-    if resume is not None:
-        spec, params, meta = ckpt.load_checkpoint(resume)
-        start_epoch = int(meta.get("epoch", -1)) + 1
-    else:
-        spec = build_spec(cfg.net_config())
-        params = init_params(spec, seed=cfg.seed)
-        start_epoch = 0
+    spec = build_spec(cfg.net_config())
+    params = init_params(spec, seed=cfg.seed)
     log = optim.train_ranking(
-        spec, params, train, oconf, val_set=val, sparsify=False,
-        start_epoch=start_epoch, log_path=outdir / "teacher_log.csv",
+        spec, params, train, cfg.optimizer_config(lam=0.0), val_set=val,
+        log_path=outdir / "teacher_log.csv",
     )
     out = outdir / "teacher.ckpt"
-    last_epoch = log[-1]["epoch"] if log else start_epoch - 1
+    last_epoch = log[-1]["epoch"] if log else -1
     ckpt.save_checkpoint(out, spec, params, meta={"phase": "teacher", "epoch": last_epoch})
     write_effective_config(cfg, outdir)
     if log and log[-1].get("diverged"):
@@ -188,8 +182,8 @@ def sparsify(cfg: PipelineConfig, datadir, teacher_ckpt, outdir, lam: float | No
             "(refusing a student-shaped or foreign checkpoint)"
         )
     oconf = cfg.optimizer_config(lam=lam)
-    log = optim.train_sparse(
-        spec, params, train, oconf, val_set=val, log_path=outdir / "sparse_log.csv"
+    log = optim.train_ranking(
+        spec, params, train, oconf, val_set=val, sparsify=True, log_path=outdir / "sparse_log.csv"
     )
     report = pruning.compute_density(spec, params)
     pruning.write_density_report(outdir / "density.txt", report)
@@ -258,17 +252,18 @@ def distill(cfg: PipelineConfig, datadir, teacher_ckpt, student_ckpt, outdir,
     return out
 
 
-def eval_datasets_from_file(eval_path) -> dict[str, list[synthdata.EvalItem]]:
+def eval_datasets_from_file(eval_path) -> dict[str, np.ndarray]:
+    """The eval records as "all" plus one subset per distortion kind present."""
     items = synthdata.read_eval_dataset(eval_path)
-    datasets: dict[str, list] = {"all": items}
-    for kind in synthdata.KINDS:
-        subset = [it for it in items if it.kind == kind]
-        if subset:
+    datasets = {"all": items}
+    for k, kind in enumerate(synthdata.KINDS):
+        subset = items[items["kind"] == k]
+        if len(subset):
             datasets[kind] = subset
     return datasets
 
 
-def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir, fmt: str = "table") -> str:
+def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir) -> str:
     outdir = _ensure_outdir(outdir)
     datasets = eval_datasets_from_file(eval_path)
     reports = []
@@ -303,6 +298,5 @@ def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir, fmt: str 
                     "flops": report.flops,
                 })
     text = "\n".join(lines)
-    if fmt == "table":
-        (outdir / "report.txt").write_text(text + "\n")
+    (outdir / "report.txt").write_text(text + "\n")
     return text

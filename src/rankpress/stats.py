@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import NetworkSpec, ParameterSet, count_flops, count_params, score_batch
-from .synthdata import EvalItem
 
 
 class StatsError(ValueError):
@@ -274,27 +273,26 @@ class EvalReport:
     datasets: dict[str, DatasetEval]
 
 
-def predict_scores(spec: NetworkSpec, params: ParameterSet, items: list[EvalItem],
+def predict_scores(spec: NetworkSpec, params: ParameterSet, items: np.ndarray,
                    batch_size: int = 64) -> np.ndarray:
+    """Quality scores of ``eval_dtype`` records."""
     preds = []
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        refs = np.stack([it.ref for it in chunk])
-        dists = np.stack([it.dist for it in chunk])
-        preds.append(score_batch(spec, params, refs, dists).data.astype(np.float64))
+        preds.append(score_batch(spec, params, chunk["ref"], chunk["dist"]).data.astype(np.float64))
     return np.concatenate(preds)
 
 
 def evaluate_model(
     spec: NetworkSpec,
     params: ParameterSet,
-    datasets: dict[str, list[EvalItem]],
+    datasets: dict[str, np.ndarray],
     name: str = "model",
     predictor=None,
 ) -> EvalReport:
     """Score every dataset; ``predictor`` overrides the network forward pass
     (used to sanity-check the harness against known-perfect predictions)."""
-    if not datasets or any(not items for items in datasets.values()):
+    if not datasets or any(len(items) == 0 for items in datasets.values()):
         raise StatsError("evaluate_model requires non-empty datasets")
     results = {}
     for ds_name, items in datasets.items():
@@ -302,7 +300,7 @@ def evaluate_model(
             preds = predict_scores(spec, params, items)
         else:
             preds = np.asarray(predictor(items), dtype=np.float64)
-        truth = np.array([it.mos for it in items], dtype=np.float64)
+        truth = items["mos"].astype(np.float64)
         results[ds_name] = DatasetEval(srocc(preds, truth), logistic_fit(preds, truth))
     return EvalReport(
         name=name,

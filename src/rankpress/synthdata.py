@@ -31,7 +31,7 @@ FORMAT_VERSION = 1
 
 
 class DataFormatError(ValueError):
-    """Bad container magic, version, or a truncated file."""
+    """Bad container magic or version, a truncated file, or an out-of-range kind."""
 
 
 @dataclass(frozen=True)
@@ -46,31 +46,23 @@ class DistortionSpec:
             raise ValueError("severity level must be >= 0")
 
 
-@dataclass(frozen=True)
-class PairInstance:
-    """One ranked training instance; label 1 iff pair (r1, d1) has higher quality."""
+def pair_dtype(c: int, h: int, w: int) -> np.dtype:
+    """One ranked training pair; label 1 iff pair (r1, d1) has higher quality.
 
-    r1: np.ndarray
-    d1: np.ndarray
-    r2: np.ndarray
-    d2: np.ndarray
-    label: int
-    kind: str
-    lev1: int
-    lev2: int
-    mos1: float
-    mos2: float
+    ``patches`` holds r1, d1, r2, d2; ``kind`` indexes ``KINDS``.
+    """
+    return np.dtype([
+        ("patches", "<f4", (4, c, h, w)), ("label", "u1"), ("kind", "u1"),
+        ("lev1", "u1"), ("lev2", "u1"), ("mos1", "<f4"), ("mos2", "<f4"),
+    ])
 
 
-@dataclass(frozen=True)
-class EvalItem:
-    """One graded evaluation item with its pseudo-MOS score."""
-
-    ref: np.ndarray
-    dist: np.ndarray
-    kind: str
-    level: int
-    mos: float
+def eval_dtype(c: int, h: int, w: int) -> np.dtype:
+    """One graded evaluation item with its pseudo-MOS score; ``kind`` indexes ``KINDS``."""
+    return np.dtype([
+        ("ref", "<f4", (c, h, w)), ("dist", "<f4", (c, h, w)), ("kind", "u1"),
+        ("level", "u1"), ("mos", "<f4"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -173,52 +165,38 @@ def make_pair_dataset(
     pairs_per_source: int,
     seed: int,
     cross_content: bool = False,
-) -> list[PairInstance]:
+) -> np.ndarray:
+    """``pairs_per_source`` ranked pairs per source, as ``pair_dtype`` records."""
     if levels < 2:
         raise ValueError("severity ladder needs at least 2 levels")
-    instances = []
-    idx = 0
-    for si in range(len(sources)):
-        for _ in range(pairs_per_source):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB2, idx)))
-            kind = KINDS[rng.integers(0, len(KINDS))]
-            if cross_content:
-                # harder setting: distinct contents, levels at least 2 apart
-                sj = int(rng.integers(0, len(sources)))
-                while True:
-                    la, lb = rng.choice(np.arange(1, levels + 1), size=2, replace=False)
-                    if abs(int(la) - int(lb)) >= 2:
-                        break
-                src1, src2 = sources[si], sources[sj]
-            else:
+    pairs = np.zeros(len(sources) * pairs_per_source, pair_dtype(*sources[0].shape))
+    for idx in range(len(pairs)):
+        si = idx // pairs_per_source
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB2, idx)))
+        ki = int(rng.integers(0, len(KINDS)))
+        if cross_content:
+            # harder setting: distinct contents, levels at least 2 apart
+            sj = int(rng.integers(0, len(sources)))
+            while True:
                 la, lb = rng.choice(np.arange(1, levels + 1), size=2, replace=False)
-                src1 = src2 = sources[si]
-            lev1, lev2 = int(la), int(lb)
-            d1 = apply_distortion(src1, DistortionSpec(kind, lev1), seed=int(rng.integers(2**31)))
-            d2 = apply_distortion(src2, DistortionSpec(kind, lev2), seed=int(rng.integers(2**31)))
-            instances.append(
-                PairInstance(
-                    r1=src1,
-                    d1=d1,
-                    r2=src2,
-                    d2=d2,
-                    label=1 if lev1 < lev2 else 0,
-                    kind=kind,
-                    lev1=lev1,
-                    lev2=lev2,
-                    mos1=pseudo_mos(lev1, levels, rng),
-                    mos2=pseudo_mos(lev2, levels, rng),
-                )
-            )
-            idx += 1
-    return instances
+                if abs(int(la) - int(lb)) >= 2:
+                    break
+            src1, src2 = sources[si], sources[sj]
+        else:
+            la, lb = rng.choice(np.arange(1, levels + 1), size=2, replace=False)
+            src1 = src2 = sources[si]
+        lev1, lev2 = int(la), int(lb)
+        d1 = apply_distortion(src1, DistortionSpec(KINDS[ki], lev1), seed=int(rng.integers(2**31)))
+        d2 = apply_distortion(src2, DistortionSpec(KINDS[ki], lev2), seed=int(rng.integers(2**31)))
+        pairs[idx] = (np.stack([src1, d1, src2, d2]), int(lev1 < lev2), ki, lev1, lev2,
+                      pseudo_mos(lev1, levels, rng), pseudo_mos(lev2, levels, rng))
+    return pairs
 
 
-def make_eval_dataset(
-    sources: list[np.ndarray], levels: int, seed: int
-) -> list[EvalItem]:
-    """One graded item per (source, kind, level)."""
-    items = []
+def make_eval_dataset(sources: list[np.ndarray], levels: int, seed: int) -> np.ndarray:
+    """One graded item per (source, kind, level), as ``eval_dtype`` records."""
+    items = np.zeros(len(sources) * len(KINDS) * levels, eval_dtype(*sources[0].shape))
+    idx = 0
     for si, src in enumerate(sources):
         for ki, kind in enumerate(KINDS):
             for level in range(1, levels + 1):
@@ -226,108 +204,59 @@ def make_eval_dataset(
                 dist = apply_distortion(
                     src, DistortionSpec(kind, level), seed=int(rng.integers(2**31))
                 )
-                items.append(EvalItem(src, dist, kind, level, pseudo_mos(level, levels, rng)))
+                items[idx] = (src, dist, ki, level, pseudo_mos(level, levels, rng))
+                idx += 1
     return items
 
 
 # ---------------------------------------------------------------------------
-# binary containers
+# binary containers: a header, then the records of pair_dtype / eval_dtype
 
 
-def _geometry_of(patch: np.ndarray) -> tuple[int, int, int]:
-    c, h, w = patch.shape
-    return int(c), int(h), int(w)
+_HEADER = struct.Struct("<4sHIHHH")  # magic, version, count, C, H, W
 
 
-_PAIR_HEADER = struct.Struct("<4sHIHHH")
-_PAIR_TRAILER = struct.Struct("<BBBBff")
-_EVAL_TRAILER = struct.Struct("<BBf")
+def _write(path, magic: bytes, records: np.ndarray):
+    c, h, w = records.dtype[0].shape[-3:]  # the first field of both dtypes ends in (C, H, W)
+    header = _HEADER.pack(magic, FORMAT_VERSION, len(records), c, h, w)
+    Path(path).write_bytes(header + records.tobytes())
 
 
-def write_dataset(path, instances: list[PairInstance]):
-    path = Path(path)
-    if instances:
-        c, h, w = _geometry_of(instances[0].r1)
-    else:
-        c = h = w = 0
-    parts = [_PAIR_HEADER.pack(PAIR_MAGIC, FORMAT_VERSION, len(instances), c, h, w)]
-    for inst in instances:
-        for patch in (inst.r1, inst.d1, inst.r2, inst.d2):
-            parts.append(np.ascontiguousarray(patch, dtype="<f4").tobytes())
-        parts.append(
-            _PAIR_TRAILER.pack(
-                inst.label, KINDS.index(inst.kind), inst.lev1, inst.lev2, inst.mos1, inst.mos2
-            )
-        )
-    path.write_bytes(b"".join(parts))
-
-
-def read_dataset(path) -> list[PairInstance]:
+def _read(path, magic: bytes, dtype_of) -> np.ndarray:
     data = Path(path).read_bytes()
-    if len(data) < _PAIR_HEADER.size:
+    if len(data) < _HEADER.size:
         raise DataFormatError(f"{path}: file shorter than header")
-    magic, version, count, c, h, w = _PAIR_HEADER.unpack_from(data)
-    if magic != PAIR_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
+    got, version, count, c, h, w = _HEADER.unpack_from(data)
+    if got != magic:
+        raise DataFormatError(f"{path}: bad magic {got!r}")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    patch_bytes = 4 * c * h * w
-    record = 4 * patch_bytes + _PAIR_TRAILER.size
-    expected = _PAIR_HEADER.size + count * record
+    try:
+        dtype = dtype_of(c, h, w)
+    except ValueError:  # numpy caps a record at 2**31 bytes
+        raise DataFormatError(f"{path}: geometry {c}x{h}x{w} too large") from None
+    expected = _HEADER.size + count * dtype.itemsize
     if len(data) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(data)} (truncated?)")
-    instances = []
-    pos = _PAIR_HEADER.size
-    for _ in range(count):
-        patches = []
-        for _ in range(4):
-            arr = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=pos).reshape(c, h, w)
-            patches.append(arr.copy())
-            pos += patch_bytes
-        label, kind_idx, lev1, lev2, mos1, mos2 = _PAIR_TRAILER.unpack_from(data, pos)
-        pos += _PAIR_TRAILER.size
-        instances.append(
-            PairInstance(*patches, label, KINDS[kind_idx], lev1, lev2, mos1, mos2)
-        )
-    return instances
+    records = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
+    if np.any(records["kind"] >= len(KINDS)):
+        raise DataFormatError(f"{path}: distortion kind out of range")
+    return records
 
 
-def write_eval_dataset(path, items: list[EvalItem]):
-    path = Path(path)
-    if items:
-        c, h, w = _geometry_of(items[0].ref)
-    else:
-        c = h = w = 0
-    parts = [_PAIR_HEADER.pack(EVAL_MAGIC, FORMAT_VERSION, len(items), c, h, w)]
-    for item in items:
-        parts.append(np.ascontiguousarray(item.ref, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(item.dist, dtype="<f4").tobytes())
-        parts.append(_EVAL_TRAILER.pack(KINDS.index(item.kind), item.level, item.mos))
-    path.write_bytes(b"".join(parts))
+def write_dataset(path, pairs: np.ndarray):
+    _write(path, PAIR_MAGIC, pairs)
 
 
-def read_eval_dataset(path) -> list[EvalItem]:
-    data = Path(path).read_bytes()
-    if len(data) < _PAIR_HEADER.size:
-        raise DataFormatError(f"{path}: file shorter than header")
-    magic, version, count, c, h, w = _PAIR_HEADER.unpack_from(data)
-    if magic != EVAL_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    patch_bytes = 4 * c * h * w
-    record = 2 * patch_bytes + _EVAL_TRAILER.size
-    expected = _PAIR_HEADER.size + count * record
-    if len(data) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(data)} (truncated?)")
-    items = []
-    pos = _PAIR_HEADER.size
-    for _ in range(count):
-        ref = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=pos).reshape(c, h, w).copy()
-        pos += patch_bytes
-        dist = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=pos).reshape(c, h, w).copy()
-        pos += patch_bytes
-        kind_idx, level, mos = _EVAL_TRAILER.unpack_from(data, pos)
-        pos += _EVAL_TRAILER.size
-        items.append(EvalItem(ref, dist, KINDS[kind_idx], level, mos))
-    return items
+def read_dataset(path) -> np.ndarray:
+    """Read-only ``pair_dtype`` records."""
+    return _read(path, PAIR_MAGIC, pair_dtype)
+
+
+def write_eval_dataset(path, items: np.ndarray):
+    _write(path, EVAL_MAGIC, items)
+
+
+def read_eval_dataset(path) -> np.ndarray:
+    """Read-only ``eval_dtype`` records."""
+    return _read(path, EVAL_MAGIC, eval_dtype)

@@ -126,13 +126,6 @@ class TestPipelineCommands:
         assert "params retained:" in text
         assert "srocc retention:" in text
 
-    def test_csv_format_flag(self, artifacts, tmp_path):
-        base, d = artifacts
-        assert run(["eval", "--eval-data", d["data"] + "/eval.rpev",
-                    "--ckpt", d["teacher"] + "/teacher.ckpt",
-                    "--out", str(tmp_path / "csv"), "--format", "csv"] + _sets()) == 0
-        assert (tmp_path / "csv" / "eval.csv").exists()
-
 
 class TestExitCodes:
     def test_bad_set_syntax_is_config_error(self, tmp_path):
@@ -145,6 +138,20 @@ class TestExitCodes:
         base, d = artifacts
         code = run(["train-teacher", "--data", str(tmp_path / "nowhere"),
                     "--out", str(tmp_path / "o")] + _sets())
+        assert code == 2
+
+    def test_out_of_range_kind_is_data_error(self, artifacts, tmp_path):
+        base, d = artifacts
+        import shutil
+
+        from rankpress.synthdata import pair_dtype
+
+        data = tmp_path / "data"
+        shutil.copytree(d["data"], data)
+        blob = bytearray((data / "train.rpds").read_bytes())
+        blob[16 + pair_dtype(1, 12, 12).fields["kind"][1]] = 200  # after the 16-byte header
+        (data / "train.rpds").write_bytes(bytes(blob))
+        code = run(["train-teacher", "--data", str(data), "--out", str(tmp_path / "o")] + _sets())
         assert code == 2
 
     def test_corrupt_checkpoint_is_data_error(self, artifacts, tmp_path):

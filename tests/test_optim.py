@@ -16,7 +16,6 @@ from rankpress.optim import (
     prox_l1_step,
     ranking_bce_loss,
     train_ranking,
-    train_sparse,
 )
 from rankpress.synthdata import generate_sources, make_pair_dataset
 
@@ -178,7 +177,7 @@ class TestTraining:
         spec, params = build_teacher(cfg)
         train_ranking(spec, params, train, OptimizerConfig(epochs=3, seed=0))
         dense_nonzero = nonzero_weight_count(params)
-        train_sparse(spec, params, train, OptimizerConfig(epochs=6, lam=0.1, seed=0))
+        train_ranking(spec, params, train, OptimizerConfig(epochs=6, lam=0.1, seed=0), sparsify=True)
         sparse_nonzero = nonzero_weight_count(params)
         assert sparse_nonzero < dense_nonzero
 

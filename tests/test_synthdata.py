@@ -101,37 +101,41 @@ class TestPseudoMos:
 
 class TestPairDataset:
     def test_labels_follow_severity(self, sources):
-        for inst in make_pair_dataset(sources, levels=6, pairs_per_source=4, seed=3):
-            assert inst.label == (1 if inst.lev1 < inst.lev2 else 0)
-            assert inst.lev1 != inst.lev2
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=4, seed=3)
+        assert np.array_equal(pairs["label"], pairs["lev1"] < pairs["lev2"])
+        assert np.all(pairs["lev1"] != pairs["lev2"])
 
     def test_same_content_by_default(self, sources):
-        for inst in make_pair_dataset(sources, levels=6, pairs_per_source=2, seed=3):
-            assert np.array_equal(inst.r1, inst.r2)
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=2, seed=3)
+        assert np.array_equal(pairs["patches"][:, 0], pairs["patches"][:, 2])
 
     def test_cross_content_level_gap(self, sources):
-        insts = make_pair_dataset(sources, levels=6, pairs_per_source=4, seed=3, cross_content=True)
-        for inst in insts:
-            assert abs(inst.lev1 - inst.lev2) >= 2
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=4, seed=3, cross_content=True)
+        assert np.all(np.abs(pairs["lev1"].astype(int) - pairs["lev2"]) >= 2)
 
     def test_deterministic(self, sources):
         a = make_pair_dataset(sources, levels=6, pairs_per_source=2, seed=9)
         b = make_pair_dataset(sources, levels=6, pairs_per_source=2, seed=9)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.d1, y.d1) and x.label == y.label
+        assert np.array_equal(a["patches"][:, 1], b["patches"][:, 1])
+        assert np.array_equal(a["label"], b["label"])
+
+
+# the container header: magic, version, count, C, H, W
+HEADER_BYTES = 16
 
 
 class TestContainers:
     def test_pair_round_trip(self, sources, tmp_path):
-        insts = make_pair_dataset(sources, levels=6, pairs_per_source=3, seed=4)
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=3, seed=4)
         path = tmp_path / "pairs.rpds"
-        write_dataset(path, insts)
+        write_dataset(path, pairs)
         back = read_dataset(path)
-        assert len(back) == len(insts)
-        for a, b in zip(insts, back):
-            assert np.array_equal(a.r1, b.r1) and np.array_equal(a.d2, b.d2)
-            assert (a.label, a.kind, a.lev1, a.lev2) == (b.label, b.kind, b.lev1, b.lev2)
-            assert a.mos1 == b.mos1 and a.mos2 == b.mos2
+        assert len(back) == len(pairs)
+        assert back.tobytes() == pairs.tobytes()
+        assert np.array_equal(pairs["patches"][:, 0], back["patches"][:, 0])
+        assert np.array_equal(pairs["patches"][:, 3], back["patches"][:, 3])
+        for field in ("label", "kind", "lev1", "lev2", "mos1", "mos2"):
+            assert np.array_equal(pairs[field], back[field]), field
 
     def test_eval_round_trip(self, sources, tmp_path):
         items = make_eval_dataset(sources[:2], levels=4, seed=5)
@@ -139,14 +143,15 @@ class TestContainers:
         write_eval_dataset(path, items)
         back = read_eval_dataset(path)
         assert len(back) == len(items) == 2 * len(KINDS) * 4
-        for a, b in zip(items, back):
-            assert np.array_equal(a.dist, b.dist)
-            assert (a.kind, a.level, a.mos) == (b.kind, b.level, b.mos)
+        assert back.tobytes() == items.tobytes()
+        assert np.array_equal(items["dist"], back["dist"])
+        for field in ("kind", "level", "mos"):
+            assert np.array_equal(items[field], back[field]), field
 
     def test_truncated_file_rejected(self, sources, tmp_path):
-        insts = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
         path = tmp_path / "pairs.rpds"
-        write_dataset(path, insts)
+        write_dataset(path, pairs)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
         with pytest.raises(DataFormatError):
@@ -163,9 +168,35 @@ class TestContainers:
             read_eval_dataset(path)
 
     def test_trailing_garbage_rejected(self, sources, tmp_path):
-        insts = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
         path = tmp_path / "pairs.rpds"
-        write_dataset(path, insts)
+        write_dataset(path, pairs)
         path.write_bytes(path.read_bytes() + b"\0" * 7)
         with pytest.raises(DataFormatError):
             read_dataset(path)
+
+    def test_oversized_geometry_rejected(self, sources, tmp_path):
+        pairs = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
+        path = tmp_path / "pairs.rpds"
+        write_dataset(path, pairs)
+        blob = bytearray(path.read_bytes())
+        blob[10:HEADER_BYTES] = b"\xff" * 6  # C, H, W = 65535
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("container", ["rpds", "rpev"])
+    def test_out_of_range_kind_rejected(self, sources, tmp_path, container):
+        if container == "rpds":
+            records = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
+            write, read = write_dataset, read_dataset
+        else:
+            records = make_eval_dataset(sources[:1], levels=3, seed=6)
+            write, read = write_eval_dataset, read_eval_dataset
+        path = tmp_path / f"data.{container}"
+        write(path, records)
+        blob = bytearray(path.read_bytes())
+        blob[HEADER_BYTES + records.dtype.fields["kind"][1]] = 200  # record 0's kind byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError):
+            read(path)
