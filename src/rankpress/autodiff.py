@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Tape",
     "ShapeError",
     "backward",
     "add",
@@ -24,7 +23,6 @@ __all__ = [
     "concat",
     "conv2d",
     "dense",
-    "relu",
     "leaky_relu",
     "sigmoid",
     "log",
@@ -142,39 +140,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-class Tape:
-    """Topologically ordered record of the operations below one output."""
-
-    def __init__(self, nodes: Sequence[Tensor]):
-        self.nodes = list(nodes)
-
-    @classmethod
-    def from_output(cls, out: Tensor) -> "Tape":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(out, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if node._id in seen:
-                continue
-            seen.add(node._id)
-            stack.append((node, True))
-            for p in node._parents:
-                if p._id not in seen:
-                    stack.append((p, False))
-        return cls(order)
+def _topological_order(out: Tensor) -> list[Tensor]:
+    """The tensors below ``out``, each once, every parent before its children."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node._id in seen:
+            continue
+        seen.add(node._id)
+        stack.append((node, True))
+        for p in node._parents:
+            if p._id not in seen:
+                stack.append((p, False))
+    return order
 
 
 def backward(loss: Tensor):
     """Populate ``grad`` on every requires-grad tensor reachable from a scalar loss."""
     if loss.data.ndim != 0:
         raise ShapeError(f"backward requires a scalar, got shape {loss.data.shape}")
-    tape = Tape.from_output(loss)
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(tape.nodes):
+    for node in reversed(_topological_order(loss)):
         if node._backward is not None and node.grad is not None and node.requires_grad:
             node._backward(node.grad)
 
@@ -237,16 +228,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
     def bw(g):
         _accumulate(a, g * mask)
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.maximum(a.data, 0)
-
-    def bw(g):
-        _accumulate(a, g * (a.data > 0))
 
     return Tensor(out_data, _parents=(a,), _backward=bw)
 

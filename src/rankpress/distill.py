@@ -8,34 +8,23 @@ ground-truth ranking BCE weighted by alpha.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from . import autodiff as ad
+# backward and pair_accuracy are not called here: perfbench/tracing.py wraps them in this module.
 from .autodiff import Tensor, backward
 from .nets import NetworkSpec, ParameterSet
-from .optim import (
-    EPS_PROB,
-    AdaMax,
-    NumericalError,
-    OptimizerConfig,
-    pair_accuracy,
-    predict_batch,
-    ranking_bce_loss,
-    restore,
-    snapshot,
-)
+from .optim import (EPS_PROB, AdaMax, OptimizerConfig, descend, fit, pair_accuracy, predict_batch,
+                    ranking_bce_loss)
+from .pruning import StructureError
 
 
 @dataclass
 class DistillConfig:
     alpha: float = 0.1
-    epochs: int = 30
-    batch_size: int = 8
     optim: OptimizerConfig = field(default_factory=OptimizerConfig)
 
 
@@ -99,6 +88,10 @@ def teacher_probabilities(spec: NetworkSpec, params: ParameterSet, batch: np.nda
     return predict_batch(spec, params, batch).data.copy()
 
 
+DISTILL_TERMS = ["instance", "batch", "class", "rank", "total"]
+DISTILL_FIELDS = ["epoch", *DISTILL_TERMS, "val_acc", "diverged"]
+
+
 def distill_train(
     teacher_spec: NetworkSpec,
     teacher_params: ParameterSet,
@@ -111,71 +104,33 @@ def distill_train(
 ) -> list[dict]:
     """Train the student on the multi-level objective; the teacher stays frozen.
 
-    Returns per-epoch log rows with all four loss terms. A non-finite loss
-    restores the last good epoch and stops.
+    Returns the per-epoch log rows of :func:`optim.fit` with all four loss
+    terms. Raises ``StructureError`` if the teacher's parameters changed.
     """
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
     teacher_before = {k: p.data.copy() for k, p in teacher_params.items()}
     oc = config.optim
     opt = AdaMax(student_params, lr=oc.lr, beta1=oc.beta1, beta2=oc.beta2)
-    log: list[dict] = []
-    last_good = snapshot(student_params)
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence((oc.seed, 0xF0, epoch)))
-        perm = rng.permutation(len(train_set))
-        sums = {"instance": 0.0, "batch": 0.0, "class": 0.0, "rank": 0.0, "total": 0.0}
-        nb = 0
-        diverged = False
-        for start in range(0, len(perm), config.batch_size):
-            batch = train_set[perm[start : start + config.batch_size]]
-            labels = batch["label"]
-            p_t = teacher_probabilities(teacher_spec, teacher_params, batch)
-            for p in student_params.values():
-                p.zero_grad()
-            p_s = predict_batch(student_spec, student_params, batch)
-            bp = BatchPredictions(p_t, p_s, labels)
-            li, lb, lc = instance_loss(bp), batch_loss(bp), class_loss(bp)
-            lr_term = ranking_bce_loss(p_s, labels)
-            loss = li + lb + lc + config.alpha * lr_term
-            if not np.isfinite(loss.data):
-                diverged = True
-                break
-            backward(loss)
-            try:
-                opt.step()
-            except NumericalError:
-                diverged = True
-                break
-            sums["instance"] += float(li.data)
-            sums["batch"] += float(lb.data)
-            sums["class"] += float(lc.data)
-            sums["rank"] += float(lr_term.data)
-            sums["total"] += float(loss.data)
-            nb += 1
-        if diverged:
-            restore(student_params, last_good)
-            log.append({"epoch": epoch, "diverged": 1, **{k: float("nan") for k in sums},
-                        "val_acc": float("nan")})
-            break
-        row = {"epoch": epoch, "diverged": 0}
-        row.update({k: v / nb for k, v in sums.items()})
-        row["val_acc"] = (pair_accuracy(student_spec, student_params, val_set)
-                          if val_set is not None and len(val_set) else float("nan"))
-        log.append(row)
-        last_good = snapshot(student_params)
 
+    def step(epoch, batch):
+        labels = batch["label"]
+        p_t = teacher_probabilities(teacher_spec, teacher_params, batch)
+        p_s = predict_batch(student_spec, student_params, batch)
+        bp = BatchPredictions(p_t, p_s, labels)
+        li, lb, lc = instance_loss(bp), batch_loss(bp), class_loss(bp)
+        lr_term = ranking_bce_loss(p_s, labels)
+        loss = li + lb + lc + config.alpha * lr_term
+        descend(loss, opt)
+        return loss, [float(t.data) for t in (li, lb, lc, lr_term, loss)]
+
+    def summarize(records):
+        sums = [0.0] * len(DISTILL_TERMS)
+        for terms in records:
+            sums = [total + v for total, v in zip(sums, terms)]
+        return {k: v / len(records) for k, v in zip(DISTILL_TERMS, sums)}
+
+    log = fit(student_spec, student_params, train_set, oc, 0xF0, step, summarize,
+              DISTILL_FIELDS, val_set, log_path)
     for k, p in teacher_params.items():
-        assert np.array_equal(p.data, teacher_before[k]), f"teacher parameter {k} mutated"
-    if log_path is not None:
-        write_distill_log(log_path, log)
+        if not np.array_equal(p.data, teacher_before[k]):
+            raise StructureError(f"teacher parameter {k} mutated")
     return log
-
-
-def write_distill_log(path, log: list[dict]):
-    fields = ["epoch", "instance", "batch", "class", "rank", "total", "val_acc", "diverged"]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in log:
-            writer.writerow({k: row.get(k, "") for k in fields})

@@ -1,4 +1,5 @@
-"""Phase-1 training: ranking BCE plus L1 sparsity with AdaMax.
+"""Phase-1 training: ranking BCE plus L1 sparsity with AdaMax, on the epoch
+loop (:func:`fit`) that distillation shares.
 
 The sparsifier follows a two-phase schedule: soft-threshold proximal steps
 (exact prox of the scaled L1 norm) for the first half of the epochs, then
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,11 +36,7 @@ class OptimizerConfig:
     lam: float = 0.1
     epochs: int = 30
     batch_size: int = 8
-    switch_epoch: Optional[int] = None  # default: epochs // 2
     seed: int = 0
-
-    def resolved_switch(self) -> int:
-        return self.epochs // 2 if self.switch_epoch is None else self.switch_epoch
 
 
 def ranking_bce_loss(p: Tensor, labels: np.ndarray) -> Tensor:
@@ -118,10 +115,6 @@ def nonzero_weight_count(params: ParameterSet) -> int:
     )
 
 
-def total_weight_count(params: ParameterSet) -> int:
-    return int(sum(p.data.size for n, p in params.items() if n.endswith(".weight")))
-
-
 def weight_l1(params: ParameterSet) -> float:
     return float(sum(np.abs(p.data).sum() for n, p in params.items() if n.endswith(".weight")))
 
@@ -155,6 +148,67 @@ def restore(params: ParameterSet, snap: dict[str, np.ndarray]):
         p.data = snap[k].copy()
 
 
+def descend(loss: Tensor, opt: AdaMax):
+    """Backward and one optimizer step; a non-finite loss raises ``NumericalError``."""
+    if not np.isfinite(loss.data):
+        raise NumericalError("non-finite loss")
+    backward(loss)
+    opt.step()
+
+
+def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, config: OptimizerConfig,
+        stream: int, step: Callable, summarize: Callable, fields: list[str],
+        val_set: Optional[np.ndarray] = None, log_path=None) -> list[dict]:
+    """The epoch loop of every training phase.
+
+    Each epoch visits ``train_set`` in the permutation seeded by
+    ``(config.seed, stream, epoch)`` and calls ``step(epoch, batch)`` on each
+    batch with the gradients zeroed; it returns the batch's loss tensor and a
+    record. ``summarize`` turns the epoch's records into the loss columns of
+    its log row. A ``NumericalError`` from ``step`` restores the last
+    completed epoch's parameters, logs one ``diverged=1`` row of NaNs and
+    stops. The rows (``fields`` in order) go to ``log_path`` as CSV.
+    """
+    if len(train_set) == 0:
+        raise ValueError("empty training set")
+    log: list[dict] = []
+    last_good = snapshot(params)
+    for epoch in range(config.epochs):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream, epoch)))
+        perm = rng.permutation(len(train_set))
+        records = []
+        try:
+            for start in range(0, len(perm), config.batch_size):
+                for p in params.values():
+                    p.zero_grad()
+                # ``loss`` keeps this batch's graph alive until the next one is built.
+                # Freed earlier, its memory goes back to the OS and the next batch
+                # faults it in again: ten times the page faults of the teacher stage.
+                loss, record = step(epoch, train_set[perm[start : start + config.batch_size]])
+                records.append(record)
+        except NumericalError:
+            restore(params, last_good)
+            log.append({**dict.fromkeys(fields, float("nan")), "epoch": epoch, "diverged": 1})
+            break
+        log.append({
+            "epoch": epoch,
+            **summarize(records),
+            "val_acc": (pair_accuracy(spec, params, val_set)
+                        if val_set is not None and len(val_set) else float("nan")),
+            "diverged": 0,
+        })
+        last_good = snapshot(params)
+    if log_path is not None:
+        with Path(log_path).open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(log)
+    return log
+
+
+RANKING_FIELDS = ["epoch", "loss", "l1", "nonzero", "acc", "val_acc", "diverged"]
+
+
 def train_ranking(
     spec: NetworkSpec,
     params: ParameterSet,
@@ -165,76 +219,30 @@ def train_ranking(
     log_path=None,
 ) -> list[dict]:
     """Train the ranking objective on ``pair_dtype`` records; with ``sparsify``
-    adds the L1 machinery.
-
-    Returns per-epoch log rows. On a non-finite loss the last good epoch's
-    parameters are restored and training stops (the event is logged).
+    adds the L1 machinery. Returns the per-epoch log rows of :func:`fit`.
     """
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
     opt = AdaMax(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    switch = config.resolved_switch()
-    log: list[dict] = []
-    last_good = snapshot(params)
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xE0, epoch)))
-        perm = rng.permutation(len(train_set))
-        losses = []
-        hits = 0
-        diverged = False
-        for start in range(0, len(perm), config.batch_size):
-            batch = train_set[perm[start : start + config.batch_size]]
-            labels = batch["label"]
-            for p in params.values():
-                p.zero_grad()
-            probs = predict_batch(spec, params, batch)
-            loss = ranking_bce_loss(probs, labels)
-            if not np.isfinite(loss.data):
-                diverged = True
-                break
-            backward(loss)
-            orthant_phase = sparsify and config.lam > 0 and epoch >= switch
-            ref = capture_signs(params) if orthant_phase else None
-            try:
-                opt.step()
-            except NumericalError:
-                diverged = True
-                break
-            if sparsify and config.lam > 0:
-                if orthant_phase:
-                    orthant_step(params, ref, config.lr, config.lam)
-                else:
-                    prox_l1_step(params, config.lr, config.lam)
-            losses.append(float(loss.data))
-            hits += int(np.sum((probs.data > 0.5) == (labels == 1)))
-        if diverged:
-            restore(params, last_good)
-            log.append({"epoch": epoch, "loss": float("nan"), "l1": weight_l1(params),
-                        "nonzero": nonzero_weight_count(params), "acc": float("nan"),
-                        "val_acc": float("nan"), "diverged": 1})
-            break
-        row = {
-            "epoch": epoch,
-            "loss": float(np.mean(losses)),
+    sparse = sparsify and config.lam > 0
+
+    def step(epoch, batch):
+        labels = batch["label"]
+        ref = capture_signs(params) if sparse and epoch >= config.epochs // 2 else None
+        probs = predict_batch(spec, params, batch)
+        loss = ranking_bce_loss(probs, labels)
+        descend(loss, opt)
+        if ref is not None:
+            orthant_step(params, ref, config.lr, config.lam)
+        elif sparse:
+            prox_l1_step(params, config.lr, config.lam)
+        return loss, (float(loss.data), int(np.sum((probs.data > 0.5) == (labels == 1))))
+
+    def summarize(records):
+        return {
+            "loss": float(np.mean([loss for loss, _ in records])),
             "l1": weight_l1(params),
             "nonzero": nonzero_weight_count(params),
-            "acc": hits / len(train_set),
-            "val_acc": (pair_accuracy(spec, params, val_set)
-                        if val_set is not None and len(val_set) else float("nan")),
-            "diverged": 0,
+            "acc": sum(hits for _, hits in records) / len(train_set),
         }
-        log.append(row)
-        last_good = snapshot(params)
-    if log_path is not None:
-        write_training_log(log_path, log)
-    return log
 
-
-def write_training_log(path, log: list[dict]):
-    path = Path(path)
-    fields = ["epoch", "loss", "l1", "nonzero", "acc", "val_acc", "diverged"]
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in log:
-            writer.writerow({k: row.get(k, "") for k in fields})
+    return fit(spec, params, train_set, config, 0xE0, step, summarize, RANKING_FIELDS,
+               val_set, log_path)

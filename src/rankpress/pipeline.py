@@ -163,7 +163,8 @@ def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
         log_path=outdir / "teacher_log.csv",
     )
     out = outdir / "teacher.ckpt"
-    last_epoch = log[-1]["epoch"] if log else -1
+    completed = [row["epoch"] for row in log if not row["diverged"]]
+    last_epoch = completed[-1] if completed else -1
     ckpt.save_checkpoint(out, spec, params, meta={"phase": "teacher", "epoch": last_epoch})
     write_effective_config(cfg, outdir)
     if log and log[-1].get("diverged"):
@@ -234,10 +235,7 @@ def distill(cfg: PipelineConfig, datadir, teacher_ckpt, student_ckpt, outdir,
     for p in t_params.values():
         p.requires_grad = False
     hash_before = ckpt.checkpoint_hash(teacher_ckpt)
-    dconf = kd.DistillConfig(
-        alpha=cfg.alpha, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        optim=cfg.optimizer_config(lam=0.0),
-    )
+    dconf = kd.DistillConfig(alpha=cfg.alpha, optim=cfg.optimizer_config(lam=0.0))
     log = kd.distill_train(
         t_spec, t_params, s_spec, s_params, train, dconf, val_set=val,
         log_path=outdir / "distill_log.csv",

@@ -277,8 +277,7 @@ def test_criterion_7_distillation_benefit(full_run):
 
         d_params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in s_params0.items()}
         distill_train(t_spec, t_params, s_spec0, d_params, train,
-                      DistillConfig(alpha=cfg.alpha, epochs=cfg.epochs,
-                                    batch_size=cfg.batch_size, optim=oconf))
+                      DistillConfig(alpha=cfg.alpha, optim=oconf))
         acc_distilled = pair_accuracy(s_spec0, d_params, val)
 
         sc_params = init_params(s_spec0, seed=seed)

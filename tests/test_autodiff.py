@@ -137,16 +137,15 @@ class TestTape:
 
     def test_topological_order(self):
         a, b, c, d = self._graph()
-        tape = ad.Tape.from_output(ad.tsum(d))
-        pos = {node._id: i for i, node in enumerate(tape.nodes)}
-        for node in tape.nodes:
+        order = ad._topological_order(ad.tsum(d))
+        pos = {node._id: i for i, node in enumerate(order)}
+        for node in order:
             for parent in node._parents:
                 assert pos[parent._id] < pos[node._id]
 
     def test_each_node_visited_once(self):
         _, _, _, d = self._graph()
-        tape = ad.Tape.from_output(ad.tsum(d))
-        ids = [node._id for node in tape.nodes]
+        ids = [node._id for node in ad._topological_order(ad.tsum(d))]
         assert len(ids) == len(set(ids))
 
 
@@ -179,7 +178,7 @@ class TestGradientCheck:
         x = rng.random((2, 2, 6, 6))
 
         def fwd():
-            h = ad.relu(ad.conv2d(Tensor(x), params["k"], params["kb"], padding=1))
+            h = ad.leaky_relu(ad.conv2d(Tensor(x), params["k"], params["kb"], padding=1))
             h = ad.global_avg_pool(h)
             return ad.tsum(ad.dense(h, params["w"], params["b"]))
 

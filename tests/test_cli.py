@@ -164,6 +164,32 @@ class TestExitCodes:
         bad.write_bytes(bytes(blob))
         assert run(["prune", "--sparse", str(bad), "--out", str(tmp_path / "o")] + _sets()) == 2
 
+    def test_teacher_divergence_is_numerical_failure(self, artifacts, tmp_path):
+        base, d = artifacts
+        from rankpress.checkpoint import load_checkpoint
+
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = run(["train-teacher", "--data", d["data"], "--out", str(out)]
+                       + _sets(["lr=1e30"]))
+        assert code == 3
+        rows = (out / "teacher_log.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",1")  # header, one diverged=1 row
+        _, _, meta = load_checkpoint(out / "teacher.ckpt")
+        assert meta["epoch"] == "-1"  # no epoch completed: the initial weights
+
+    def test_distill_divergence_is_numerical_failure(self, artifacts, tmp_path):
+        base, d = artifacts
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = run(["distill", "--data", d["data"], "--teacher", d["teacher"] + "/teacher.ckpt",
+                        "--student", d["pruned"] + "/student.ckpt", "--out", str(out)]
+                       + _sets(["lr=1e30"]))
+        assert code == 3
+        assert (out / "distilled.ckpt").exists()
+        rows = (out / "distill_log.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",1")  # header, one diverged=1 row
+
     def test_shape_guard_rejects_foreign_checkpoint(self, artifacts, tmp_path):
         base, d = artifacts
         code = run(["sparsify", "--data", d["data"],

@@ -16,6 +16,7 @@ from rankpress.distill import (
 )
 from rankpress.nets import NetConfig, build_teacher
 from rankpress.optim import OptimizerConfig, pair_accuracy, ranking_bce_loss
+from rankpress.pruning import StructureError
 from rankpress.synthdata import generate_sources, make_pair_dataset
 
 
@@ -123,7 +124,7 @@ class TestDistillTrain:
         small, (t_spec, t_params), train, val = distill_setup
         before = {k: p.data.copy() for k, p in t_params.items()}
         s_spec, s_params = build_teacher(small)
-        cfg = DistillConfig(epochs=6, optim=OptimizerConfig(epochs=6, seed=0))
+        cfg = DistillConfig(optim=OptimizerConfig(epochs=6, seed=0))
         log = distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
         for k in t_params:
             assert np.array_equal(t_params[k].data, before[k])
@@ -135,7 +136,7 @@ class TestDistillTrain:
         outs = []
         for _ in range(2):
             s_spec, s_params = build_teacher(small)
-            cfg = DistillConfig(epochs=2, optim=OptimizerConfig(epochs=2, seed=3))
+            cfg = DistillConfig(optim=OptimizerConfig(epochs=2, seed=3))
             distill_train(t_spec, t_params, s_spec, s_params, train, cfg)
             outs.append({k: p.data.copy() for k, p in s_params.items()})
         for k in outs[0]:
@@ -144,11 +145,30 @@ class TestDistillTrain:
     def test_log_schema(self, distill_setup):
         small, (t_spec, t_params), train, val = distill_setup
         s_spec, s_params = build_teacher(small)
-        cfg = DistillConfig(epochs=2, optim=OptimizerConfig(epochs=2, seed=0))
+        cfg = DistillConfig(optim=OptimizerConfig(epochs=2, seed=0))
         log = distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
         for row in log:
             for key in ("epoch", "instance", "batch", "class", "rank", "total", "val_acc", "diverged"):
                 assert key in row
+
+    def test_divergence_restores_student_and_logs_one_row(self, distill_setup):
+        small, (t_spec, t_params), train, val = distill_setup
+        s_spec, s_params = build_teacher(small)
+        before = {k: p.data.tobytes() for k, p in s_params.items()}
+        cfg = DistillConfig(optim=OptimizerConfig(epochs=3, lr=1e30, seed=0))
+        with np.errstate(all="ignore"):
+            log = distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
+        assert len(log) == 1
+        assert log[0]["epoch"] == 0 and log[0]["diverged"] == 1
+        assert all(np.isnan(log[0][k]) for k in ("instance", "batch", "class", "rank", "total"))
+        assert {k: p.data.tobytes() for k, p in s_params.items()} == before
+
+    def test_teacher_as_student_rejected(self, distill_setup):
+        small, _, train, _ = distill_setup
+        spec, params = build_teacher(small)
+        cfg = DistillConfig(optim=OptimizerConfig(epochs=1, seed=0))
+        with pytest.raises(StructureError):
+            distill_train(spec, params, spec, params, train, cfg)
 
     def test_teacher_probabilities_match_forward(self, distill_setup):
         small, (t_spec, t_params), train, _ = distill_setup

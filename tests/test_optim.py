@@ -189,3 +189,15 @@ class TestTraining:
         for row in log:
             for key in ("epoch", "loss", "l1", "nonzero", "acc", "val_acc", "diverged"):
                 assert key in row
+
+    def test_divergence_restores_params_and_logs_one_row(self, tiny_task):
+        cfg, train, val = tiny_task
+        spec, params = build_teacher(cfg)
+        before = {k: p.data.tobytes() for k, p in params.items()}
+        with np.errstate(all="ignore"):
+            log = train_ranking(spec, params, train, OptimizerConfig(epochs=3, lr=1e30, seed=0),
+                                val_set=val)
+        assert len(log) == 1
+        assert log[0]["epoch"] == 0 and log[0]["diverged"] == 1
+        assert all(np.isnan(log[0][k]) for k in ("loss", "acc", "val_acc"))
+        assert {k: p.data.tobytes() for k, p in params.items()} == before
