@@ -79,9 +79,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
@@ -109,9 +106,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(x, dtype=None) -> Tensor:

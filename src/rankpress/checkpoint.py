@@ -9,11 +9,13 @@ Layout (single file):
     blob <nbytes> crc32 <hex>
     <raw little-endian float32 bytes>
 
-Tensors are serialized in manifest order; the CRC32 line guards corruption.
+Tensors are serialized in ``NetworkSpec.param_shapes()`` order; the CRC32 line
+guards the blob, and the reader checks the tensor lines against the layer lines.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from pathlib import Path
 
@@ -42,15 +44,13 @@ def save_checkpoint(path, spec: NetworkSpec, params: ParameterSet, meta: dict | 
         )
     chunks = []
     offset = 0
-    for layer in spec.layers:
-        for part in ("weight", "bias"):
-            name = f"{layer.name}.{part}"
-            arr = np.ascontiguousarray(params[name].data, dtype="<f4")
-            shape = ",".join(str(d) for d in arr.shape)
-            lines.append(f"tensor {name} {shape} {offset}")
-            raw = arr.tobytes()
-            chunks.append(raw)
-            offset += len(raw)
+    for name in spec.param_shapes():
+        arr = np.ascontiguousarray(params[name].data, dtype="<f4")
+        shape = ",".join(str(d) for d in arr.shape)
+        lines.append(f"tensor {name} {shape} {offset}")
+        raw = arr.tobytes()
+        chunks.append(raw)
+        offset += len(raw)
     blob = b"".join(chunks)
     lines.append(f"blob {len(blob)} crc32 {zlib.crc32(blob):08x}")
     path.write_bytes("\n".join(lines).encode() + b"\n" + blob)
@@ -65,30 +65,41 @@ def checkpoint_hash(path) -> str:
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[NetworkSpec, ParameterSet, dict]:
+    """Read a checkpoint; any malformed, inconsistent or corrupt content is a CheckpointError."""
     path = Path(path)
     data = path.read_bytes()
+    try:
+        return _parse(data, dtype)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    # int(), decode(), unpacking and spec.validate() raise ValueErrors; a short line IndexError
+    except (ValueError, IndexError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
+
+
+def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
     pos = 0
 
     def next_line():
         nonlocal pos
         end = data.find(b"\n", pos)
         if end < 0:
-            raise CheckpointError(f"{path}: truncated header")
+            raise CheckpointError("truncated header")
         line = data[pos:end].decode()
         pos = end + 1
         return line
 
     header = next_line().split()
     if header[:1] != [MAGIC] or int(header[1]) != VERSION:
-        raise CheckpointError(f"{path}: bad magic/version {header!r}")
+        raise CheckpointError(f"bad magic/version {header!r}")
     geom = next_line().split()
     if geom[0] != "geometry":
-        raise CheckpointError(f"{path}: missing geometry line")
+        raise CheckpointError("missing geometry line")
     in_ch, height, width = (int(v) for v in geom[1:4])
 
     meta: dict = {}
     layers: list[LayerSpec] = []
-    tensors: list[tuple[str, tuple[int, ...], int]] = []
+    tensors: dict[str, tuple[tuple[int, ...], int]] = {}
     while True:
         line = next_line()
         fields = line.split()
@@ -96,33 +107,34 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[NetworkSpec, ParameterSet, 
             key, _, value = line[len("meta ") :].partition("=")
             meta[key] = value
         elif fields[0] == "layer":
-            layers.append(
-                LayerSpec(fields[1], fields[2], *(int(v) for v in fields[3:8]))
-            )
+            c_in, c_out, kernel, stride, pad = (int(v) for v in fields[3:])
+            layers.append(LayerSpec(fields[1], fields[2], c_in, c_out, kernel, stride, pad))
         elif fields[0] == "tensor":
-            shape = tuple(int(d) for d in fields[2].split(","))
-            tensors.append((fields[1], shape, int(fields[3])))
+            tensors[fields[1]] = (tuple(int(d) for d in fields[2].split(",")), int(fields[3]))
         elif fields[0] == "blob":
             nbytes = int(fields[1])
             crc_expected = fields[3]
             break
         else:
-            raise CheckpointError(f"{path}: unknown manifest line {line!r}")
-
-    blob = data[pos : pos + nbytes]
-    if len(blob) != nbytes:
-        raise CheckpointError(f"{path}: truncated blob ({len(blob)} of {nbytes} bytes)")
-    if f"{zlib.crc32(blob):08x}" != crc_expected:
-        raise CheckpointError(f"{path}: blob checksum mismatch")
+            raise CheckpointError(f"unknown manifest line {line!r}")
 
     spec = NetworkSpec(in_ch, height, width, tuple(layers))
     spec.validate()
+    mismatches = spec.shape_mismatches({name: shape for name, (shape, _) in tensors.items()})
+    if mismatches:
+        raise CheckpointError("tensors disagree with the layer lines: " + "; ".join(mismatches))
+    ends = np.cumsum([0] + [4 * math.prod(shape) for shape, _ in tensors.values()]).tolist()
+    if [offset for _, offset in tensors.values()] != ends[:-1] or ends[-1] != nbytes:
+        raise CheckpointError("tensor offsets do not tile the blob")
+
+    blob = data[pos : pos + nbytes]
+    if len(blob) != nbytes:
+        raise CheckpointError(f"truncated blob ({len(blob)} of {nbytes} bytes)")
+    if f"{zlib.crc32(blob):08x}" != crc_expected:
+        raise CheckpointError("blob checksum mismatch")
+
     params: ParameterSet = {}
-    for name, shape, offset in tensors:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        params[name] = Tensor(arr.astype(dtype), requires_grad=True)
-    expected = {f"{l.name}.{p}" for l in layers for p in ("weight", "bias")}
-    if set(params) != expected:
-        raise CheckpointError(f"{path}: manifest tensors do not match layer inventory")
+    for name, (shape, offset) in tensors.items():
+        arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
+        params[name] = Tensor(arr.reshape(shape).astype(dtype), requires_grad=True)
     return spec, params, meta

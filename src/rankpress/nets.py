@@ -9,6 +9,7 @@ dense score head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -62,22 +63,46 @@ class NetworkSpec:
                 raise ConfigError(
                     f"layer {layer.name}: in_ch {layer.in_ch} != previous out_ch {prev_out}"
                 )
+            conv_ok = layer.kind != "conv" or min(layer.kernel, layer.stride, layer.padding + 1) > 0
+            if min(layer.in_ch, layer.out_ch) < 1 or not conv_ok:
+                raise ConfigError(f"layer {layer.name}: bad width, kernel, stride or padding")
             prev_out = layer.out_ch
         if not self.layers or self.layers[-1].kind != "dense" or self.layers[-1].out_ch != 1:
             raise ConfigError("network must end in a single-unit dense score head")
+        for layer, ((h, w), (h_out, w_out)) in zip(self.layers, self.spatial_sizes()):
+            if h_out < 1 or w_out < 1:
+                raise ConfigError(f"kernel {layer.kernel} exceeds padded input {h}x{w}")
+            if h_out // 2 < 1 or w_out // 2 < 1:
+                raise ConfigError("patch too small for the configured conv stack")
 
-    def spatial_sizes(self) -> list[tuple[int, int]]:
-        """(H, W) at the input of each conv layer, in layer order."""
+    def spatial_sizes(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """(H, W) at the input and at the output (before the pool) of each conv layer."""
         h, w = self.height, self.width
         sizes = []
         for layer in self.layers:
             if layer.kind != "conv":
                 break
-            sizes.append((h, w))
-            h = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            w = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            h, w = h // 2, w // 2  # 2x average pool after every conv block
+            h_out = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            w_out = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            sizes.append(((h, w), (h_out, w_out)))
+            h, w = h_out // 2, w_out // 2  # 2x average pool after every conv block
         return sizes
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Parameter name -> shape, weight then bias, layer by layer."""
+        shapes = {}
+        for layer in self.layers:
+            kernel = (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
+            shapes[f"{layer.name}.weight"] = (layer.out_ch, layer.in_ch) + kernel
+            shapes[f"{layer.name}.bias"] = (layer.out_ch,)
+        return shapes
+
+    def shape_mismatches(self, shapes: dict[str, tuple[int, ...]]) -> list[str]:
+        """Each name whose shape in ``shapes`` differs from ``param_shapes()`` (None: absent)."""
+        expected = self.param_shapes()
+        names = list(expected) + sorted(set(shapes) - set(expected))
+        return [f"{name}: shape {shapes.get(name)} != spec {expected.get(name)}"
+                for name in names if shapes.get(name) != expected.get(name)]
 
 
 ParameterSet = dict[str, Tensor]
@@ -112,23 +137,13 @@ def build_spec(config: NetConfig) -> NetworkSpec:
         raise ConfigError("layer widths must be positive")
     in_ch = 2 * config.channels  # (R - D) planes concatenated with D planes
     layers = []
-    h, w = config.height, config.width
-    prev = in_ch
-    pad = config.kernel // 2
+    prev, pad = in_ch, config.kernel // 2
     for i, width in enumerate(config.conv_widths):
-        if config.kernel > h + 2 * pad or config.kernel > w + 2 * pad:
-            raise ConfigError(f"kernel {config.kernel} exceeds padded input {h}x{w}")
         layers.append(LayerSpec(f"conv{i + 1}", "conv", prev, width, config.kernel, 1, pad))
-        h = (h + 2 * pad - config.kernel) + 1
-        w = (w + 2 * pad - config.kernel) + 1
-        h, w = h // 2, w // 2
-        if h < 1 or w < 1:
-            raise ConfigError("patch too small for the configured conv stack")
         prev = width
-    for i, width in enumerate(config.dense_widths):
+    for i, width in enumerate((*config.dense_widths, 1)):  # the last is the score head
         layers.append(LayerSpec(f"fc{i + 1}", "dense", prev, width))
         prev = width
-    layers.append(LayerSpec(f"fc{len(config.dense_widths) + 1}", "dense", prev, 1))
     spec = NetworkSpec(in_ch, config.height, config.width, tuple(layers))
     spec.validate()
     return spec
@@ -138,19 +153,14 @@ def init_params(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Parameter
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
     params: ParameterSet = {}
-    for layer in spec.layers:
-        if layer.kind == "conv":
-            fan_in = layer.in_ch * layer.kernel * layer.kernel
-            fan_out = layer.out_ch * layer.kernel * layer.kernel
-            shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
+    for name, shape in spec.param_shapes().items():
+        if name.endswith(".bias"):
+            data = np.zeros(shape, dtype=dtype)
         else:
-            fan_in, fan_out = layer.in_ch, layer.out_ch
-            shape = (layer.out_ch, layer.in_ch)
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params[f"{layer.name}.weight"] = Tensor(
-            rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True
-        )
-        params[f"{layer.name}.bias"] = Tensor(np.zeros(layer.out_ch, dtype=dtype), requires_grad=True)
+            field = math.prod(shape[2:])  # kernel area; 1 for a dense layer
+            limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * field))  # fan_in + fan_out
+            data = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -162,7 +172,6 @@ def build_teacher(config: NetConfig = NetConfig()) -> tuple[NetworkSpec, Paramet
 def forward_features(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
     """Run the spec'd layer stack on a prepared NCHW input, returning scores [N]."""
     out = x
-    pooled = False
     for layer in spec.layers:
         w = params[f"{layer.name}.weight"]
         b = params[f"{layer.name}.bias"]
@@ -170,12 +179,8 @@ def forward_features(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tens
             out = ad.conv2d(out, w, b, stride=layer.stride, padding=layer.padding)
             out = ad.leaky_relu(out)
             out = ad.avg_pool2(out)
-        else:
-            if not pooled:
-                out = ad.global_avg_pool(out) if out.data.ndim == 4 else out
-                pooled = True
-            else:
-                out = ad.leaky_relu(out)
+        else:  # the first dense layer pools the NCHW maps, the later ones follow leaky ReLU
+            out = ad.global_avg_pool(out) if out.data.ndim == 4 else ad.leaky_relu(out)
             out = ad.dense(out, w, b)
     return ad.reshape(out, (out.data.shape[0],))
 
@@ -256,17 +261,14 @@ def count_params(params: ParameterSet, nonzero_only: bool = False) -> int:
 
 
 def count_flops(spec: NetworkSpec) -> int:
-    """Multiply-accumulates counted as 2 FLOPs; activations and pooling excluded."""
-    total = 0
-    sizes = spec.spatial_sizes()
-    conv_idx = 0
-    for layer in spec.layers:
-        if layer.kind == "conv":
-            h, w = sizes[conv_idx]
-            conv_idx += 1
-            h_out = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            w_out = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            total += 2 * layer.kernel * layer.kernel * layer.in_ch * layer.out_ch * h_out * w_out
-        else:
-            total += 2 * layer.in_ch * layer.out_ch
-    return total
+    """Multiply-accumulates counted as 2 FLOPs; activations and pooling excluded.
+
+    A conv weight is applied once per output position, a dense weight once.
+    """
+    shapes = spec.param_shapes()
+    positions = [h * w for _, (h, w) in spec.spatial_sizes()]  # the conv layers come first
+    positions += [1] * (len(spec.layers) - len(positions))
+    return sum(
+        2 * math.prod(shapes[f"{layer.name}.weight"]) * n
+        for layer, n in zip(spec.layers, positions)
+    )

@@ -146,17 +146,29 @@ def gen_data(cfg: PipelineConfig, outdir) -> dict[str, Path]:
     return paths
 
 
-def _load_pair_data(datadir):
+def _check_geometry(records: np.ndarray, spec, what) -> None:
+    """ConfigError unless the records' (C, H, W) patches are the network's input geometry."""
+    c, h, w = records.dtype[0].shape[-3:]  # the leading patch field of a pair or eval record
+    if (2 * c, h, w) != (spec.in_channels, spec.height, spec.width):
+        raise ConfigError(f"{what}: {c}x{h}x{w} patches do not fit the network's input "
+                          f"({spec.in_channels} planes of {spec.height}x{spec.width})")
+
+
+def _load_pair_data(datadir, *specs):
+    """The train and val pairs, checked against the geometry of each spec."""
     datadir = Path(datadir)
     train = synthdata.read_dataset(datadir / "train.rpds")
     val = synthdata.read_dataset(datadir / "val.rpds")
+    for spec in specs:
+        _check_geometry(train, spec, datadir / "train.rpds")
+        _check_geometry(val, spec, datadir / "val.rpds")
     return train, val
 
 
 def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
     outdir = _ensure_outdir(outdir)
-    train, val = _load_pair_data(datadir)
     spec = build_spec(cfg.net_config())
+    train, val = _load_pair_data(datadir, spec)
     params = init_params(spec, seed=cfg.seed)
     log = optim.train_ranking(
         spec, params, train, cfg.optimizer_config(lam=0.0), val_set=val,
@@ -174,7 +186,6 @@ def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
 
 def sparsify(cfg: PipelineConfig, datadir, teacher_ckpt, outdir, lam: float | None = None) -> Path:
     outdir = _ensure_outdir(outdir)
-    train, val = _load_pair_data(datadir)
     spec, params, _meta = ckpt.load_checkpoint(teacher_ckpt)
     expected = build_spec(cfg.net_config())
     if spec.layers != expected.layers:
@@ -182,6 +193,7 @@ def sparsify(cfg: PipelineConfig, datadir, teacher_ckpt, outdir, lam: float | No
             "checkpoint shape does not match the configured teacher "
             "(refusing a student-shaped or foreign checkpoint)"
         )
+    train, val = _load_pair_data(datadir, spec)
     oconf = cfg.optimizer_config(lam=lam)
     log = optim.train_ranking(
         spec, params, train, oconf, val_set=val, sparsify=True, log_path=outdir / "sparse_log.csv"
@@ -225,13 +237,9 @@ def prune(cfg: PipelineConfig, sparse_ckpt, outdir) -> Path:
 def distill(cfg: PipelineConfig, datadir, teacher_ckpt, student_ckpt, outdir,
             freeze_check: bool = False) -> Path:
     outdir = _ensure_outdir(outdir)
-    train, val = _load_pair_data(datadir)
     t_spec, t_params, _ = ckpt.load_checkpoint(teacher_ckpt)
     s_spec, s_params, _ = ckpt.load_checkpoint(student_ckpt)
-    if (t_spec.in_channels, t_spec.height, t_spec.width) != (
-        s_spec.in_channels, s_spec.height, s_spec.width
-    ):
-        raise ConfigError("teacher and student checkpoints have different input geometry")
+    train, val = _load_pair_data(datadir, t_spec, s_spec)
     for p in t_params.values():
         p.requires_grad = False
     hash_before = ckpt.checkpoint_hash(teacher_ckpt)
@@ -267,6 +275,7 @@ def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir) -> str:
     reports = []
     for path in ckpt_paths:
         spec, params, _ = ckpt.load_checkpoint(path)
+        _check_geometry(datasets["all"], spec, eval_path)
         reports.append(stats.evaluate_model(spec, params, datasets, name=Path(path).stem))
     lines = []
     for report in reports:

@@ -10,13 +10,13 @@ are selected by the L1 norm of their weight slice, keeping the largest.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .nets import LayerSpec, NetworkSpec, ParameterSet
+from .nets import ConfigError, NetworkSpec, ParameterSet
 
 
 class StructureError(ValueError):
@@ -100,20 +100,14 @@ def build_pruning_plan(
     if missing:
         raise StructureError(f"density report missing layers: {missing}")
 
-    plans: dict[str, LayerPlan] = {}
-    downstream_in: tuple[int, ...] | None = None  # retained inputs of the layer after this one
+    plans: list[LayerPlan] = []
+    retained_out = tuple(range(spec.layers[-1].out_ch))  # score head output is never pruned
     for idx in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[idx]
-        if downstream_in is None:
-            retained_out = tuple(range(layer.out_ch))  # score head output is never pruned
-        else:
-            retained_out = downstream_in
         if idx == 0:
             retained_in = tuple(range(layer.in_ch))  # image planes are part of the contract
         else:
-            dens = densities[layer.name]
-            d = 1.0 if dens.total == 0 else dens.density
-            keep = _round_half_up(d * layer.in_ch)
+            keep = _round_half_up(densities[layer.name].density * layer.in_ch)
             if keep < 1:
                 warnings.warn(f"layer {layer.name}: degenerate density, clamping to 1 channel")
                 keep = 1
@@ -123,10 +117,10 @@ def build_pruning_plan(
                 retained_in = _keep_largest(importance, keep)
             else:
                 retained_in = tuple(range(keep))
-        plans[layer.name] = LayerPlan(layer.name, retained_in, retained_out)
-        downstream_in = retained_in
+        plans.append(LayerPlan(layer.name, retained_in, retained_out))
+        retained_out = retained_in  # the upstream layer keeps the outputs this one reads
 
-    return PruningPlan(tuple(plans[l.name] for l in spec.layers))
+    return PruningPlan(tuple(reversed(plans)))
 
 
 def _channel_importance(weight: np.ndarray) -> np.ndarray:
@@ -146,6 +140,9 @@ def prune_network(
     spec: NetworkSpec, params: ParameterSet, plan: PruningPlan
 ) -> tuple[NetworkSpec, ParameterSet]:
     """Slice weights and biases per plan, producing the compact student."""
+    mismatches = spec.shape_mismatches({name: p.data.shape for name, p in params.items()})
+    if mismatches:
+        raise StructureError("; ".join(mismatches))
     plan_map = plan.by_name()
     new_layers = []
     new_params: ParameterSet = {}
@@ -161,11 +158,6 @@ def prune_network(
             )
         w = params[f"{layer.name}.weight"].data
         b = params[f"{layer.name}.bias"].data
-        expected = (layer.out_ch, layer.in_ch) + (
-            (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
-        )
-        if w.shape != expected:
-            raise StructureError(f"layer {layer.name}: weight shape {w.shape} != spec {expected}")
         rin = np.asarray(lp.retained_in, dtype=int)
         rout = np.asarray(lp.retained_out, dtype=int)
         if rin.size == 0 or rout.size == 0:
@@ -175,10 +167,7 @@ def prune_network(
         sliced_w = w[np.ix_(rout, rin)]  # indexes the leading (out, in) axes for conv and dense
         new_params[f"{layer.name}.weight"] = Tensor(sliced_w.copy(), requires_grad=True)
         new_params[f"{layer.name}.bias"] = Tensor(b[rout].copy(), requires_grad=True)
-        new_layers.append(
-            LayerSpec(layer.name, layer.kind, len(lp.retained_in), len(lp.retained_out),
-                      layer.kernel, layer.stride, layer.padding)
-        )
+        new_layers.append(replace(layer, in_ch=rin.size, out_ch=rout.size))
         prev_out = lp.retained_out
     new_spec = NetworkSpec(spec.in_channels, spec.height, spec.width, tuple(new_layers))
     new_spec.validate()
@@ -195,35 +184,14 @@ def identity_plan(spec: NetworkSpec) -> PruningPlan:
 
 
 def validate_structure(spec: NetworkSpec, params: ParameterSet) -> list[str]:
-    """Shape-chain, manifest agreement, and a dry-run forward; returns violations."""
+    """Spec validity, parameter names and shapes, and a dry-run forward; returns violations."""
     from .nets import score_batch  # local import to avoid a cycle at module load
 
-    violations: list[str] = []
-    prev_out = spec.in_channels
-    for layer in spec.layers:
-        if layer.in_ch != prev_out:
-            violations.append(
-                f"{layer.name}: in_ch {layer.in_ch} incompatible with upstream out_ch {prev_out}"
-            )
-        prev_out = layer.out_ch
-        wname, bname = f"{layer.name}.weight", f"{layer.name}.bias"
-        if wname not in params or bname not in params:
-            violations.append(f"{layer.name}: missing parameters")
-            continue
-        expected = (layer.out_ch, layer.in_ch) + (
-            (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
-        )
-        if params[wname].data.shape != expected:
-            violations.append(
-                f"{layer.name}: weight shape {params[wname].data.shape} != spec {expected}"
-            )
-        if params[bname].data.shape != (layer.out_ch,):
-            violations.append(f"{layer.name}: bias shape {params[bname].data.shape}")
-    extra = set(params) - {
-        f"{l.name}.{part}" for l in spec.layers for part in ("weight", "bias")
-    }
-    if extra:
-        violations.append(f"parameters not in spec: {sorted(extra)}")
+    try:
+        spec.validate()
+    except ConfigError as exc:
+        return [str(exc)]
+    violations = spec.shape_mismatches({name: p.data.shape for name, p in params.items()})
     if not violations:
         c = spec.in_channels // 2
         zero = np.zeros((1, c, spec.height, spec.width), dtype=np.float32)

@@ -23,8 +23,6 @@ KINDS = (
     "downsample-upsample",
 )
 
-DEFAULT_LEVELS = 6
-
 PAIR_MAGIC = b"RPDS"
 EVAL_MAGIC = b"RPEV"
 FORMAT_VERSION = 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,35 @@ def test_loaded_params_keep_grad_flag(net, tmp_path):
     save_checkpoint(path, spec, params)
     _, params2, _ = load_checkpoint(path)
     assert all(p.requires_grad for p in params2.values())
+
+
+# Manifest edits, each on the text before the blob line of a 12x12, 4/8-channel net's
+# checkpoint. The last two keep every tensor name but break the layer lines' shapes.
+MANIFEST_CORRUPTIONS = {
+    "version-not-a-number": lambda m: m.replace("RPCK 1", "RPCK x"),
+    "offset-past-blob": lambda m: re.sub(r"(tensor fc2\.bias 1) \d+", r"\1 99999", m),
+    "empty-line": lambda m: m.replace("\nmeta", "\n\nmeta", 1),
+    "non-utf8-meta": lambda m: m.replace("phase=probe", "phase=\xffprobe"),
+    "unknown-layer-kind": lambda m: m.replace("layer fc1 dense", "layer fc1 pool!"),
+    "layer-line-too-short": lambda m: m.replace("layer fc1 dense 8 8 0 1 0", "layer fc1 dense 8"),
+    "geometry-too-small": lambda m: m.replace("geometry 2 12 12", "geometry 2 2 2"),
+    "swapped-conv-dims": lambda m: m.replace("conv1.weight 4,2,3,3", "conv1.weight 2,4,3,3"),
+    "dense-width-disagrees": lambda m: m.replace("fc1 dense 8 8", "fc1 dense 8 9").replace(
+        "fc2 dense 8 1", "fc2 dense 9 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(MANIFEST_CORRUPTIONS))
+def test_corrupt_manifest_rejected(corruption, tmp_path):
+    spec, params = build_teacher(NetConfig(conv_widths=(4, 8), dense_widths=(8,), height=12, width=12))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, spec, params, meta={"phase": "probe"})
+    data = path.read_bytes()
+    cut = data.index(b"\nblob ")
+    manifest = data[:cut].decode("latin-1")
+    edited = MANIFEST_CORRUPTIONS[corruption](manifest)
+    assert edited != manifest
+    path.write_bytes(edited.encode("latin-1") + data[cut:])
+    with pytest.raises(CheckpointError, match="m.ckpt"):
+        load_checkpoint(path)

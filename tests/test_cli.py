@@ -190,6 +190,36 @@ class TestExitCodes:
         rows = (out / "distill_log.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].endswith(",1")  # header, one diverged=1 row
 
+    def test_checkpoint_shapes_disagreeing_with_layers_is_data_error(self, artifacts, tmp_path):
+        base, d = artifacts
+        from pathlib import Path
+
+        data = Path(d["teacher"], "teacher.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data.replace(b"conv1.weight 4,2,3,3", b"conv1.weight 2,4,3,3", 1))
+        assert bad.read_bytes() != data
+        code = run(["eval", "--eval-data", d["data"] + "/eval.rpev", "--ckpt", str(bad),
+                    "--out", str(tmp_path / "o")] + _sets())
+        assert code == 2
+
+    def test_train_patch_mismatch_is_config_error(self, artifacts, tmp_path):
+        base, d = artifacts
+        code = run(["train-teacher", "--data", d["data"], "--out", str(tmp_path / "o")]
+                   + _sets(["patch=16"]))
+        assert code == 1
+
+    def test_eval_checkpoint_geometry_mismatch_is_config_error(self, artifacts, tmp_path):
+        base, d = artifacts
+        from rankpress.checkpoint import save_checkpoint
+        from rankpress.nets import NetConfig, build_teacher
+
+        other = tmp_path / "16x16.ckpt"
+        save_checkpoint(other, *build_teacher(NetConfig(height=16, width=16, conv_widths=(4,),
+                                                        dense_widths=(8,))))
+        code = run(["eval", "--eval-data", d["data"] + "/eval.rpev", "--ckpt", str(other),
+                    "--out", str(tmp_path / "o")] + _sets())
+        assert code == 1
+
     def test_shape_guard_rejects_foreign_checkpoint(self, artifacts, tmp_path):
         base, d = artifacts
         code = run(["sparsify", "--data", d["data"],

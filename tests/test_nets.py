@@ -3,7 +3,9 @@ import pytest
 
 from rankpress.nets import (
     ConfigError,
+    LayerSpec,
     NetConfig,
+    NetworkSpec,
     build_spec,
     build_teacher,
     count_flops,
@@ -141,3 +143,22 @@ def test_bad_config_rejected():
         build_spec(NetConfig(conv_widths=(0,)))
     with pytest.raises(ConfigError):
         build_spec(NetConfig(height=2, width=2, conv_widths=(4, 4, 4, 4)))
+
+
+def test_param_shapes_are_the_init_params_layout():
+    spec, params = build_teacher(NetConfig())
+    assert [(n, p.data.shape) for n, p in params.items()] == list(spec.param_shapes().items())
+
+
+def test_geometry_walk_rejects_what_does_not_fit():
+    with pytest.raises(ConfigError, match="patch too small"):
+        build_spec(NetConfig(height=2, width=2, conv_widths=(4, 4, 4, 4)))
+    # build_spec pads by kernel // 2, which keeps every kernel inside the padded input,
+    # so an unpadded spec reaches the kernel check
+    head = LayerSpec("fc1", "dense", 4, 1)
+    too_wide = NetworkSpec(2, 4, 4, (LayerSpec("conv1", "conv", 2, 4, 5, 1, 0), head))
+    with pytest.raises(ConfigError, match="kernel 5 exceeds padded input 4x4"):
+        too_wide.validate()
+    zero_stride = NetworkSpec(2, 4, 4, (LayerSpec("conv1", "conv", 2, 4, 3, 0, 1), head))
+    with pytest.raises(ConfigError, match="bad width, kernel, stride or padding"):
+        zero_stride.validate()

@@ -173,6 +173,26 @@ class TestPruneNetwork:
                 assert w.shape == (layer.out_ch, layer.in_ch)
 
 
+    def test_student_params_follow_param_shapes(self, net):
+        cfg, (spec, params) = net
+        params["conv2.weight"].data[:, 1::2] = 0.0
+        plan = build_pruning_plan(spec, compute_density(spec, params), params)
+        spec2, params2 = prune_network(spec, params, plan)
+        assert spec2 != spec
+        assert [(n, p.data.shape) for n, p in params2.items()] == list(spec2.param_shapes().items())
+
+    def test_bad_bias_and_extra_parameter_reported(self, net):
+        cfg, (spec, params) = net
+        params["fc1.bias"] = Tensor(np.zeros(3, dtype=np.float32))
+        params["fc9.weight"] = Tensor(np.zeros((1, 1), dtype=np.float32))
+        assert validate_structure(spec, params) == [
+            "fc1.bias: shape (3,) != spec (8,)",
+            "fc9.weight: shape (1, 1) != spec None",
+        ]
+        with pytest.raises(StructureError, match="fc1.bias"):
+            prune_network(spec, params, identity_plan(spec))
+
+
 def test_density_report_formatting(net):
     cfg, (spec, params) = net
     text = format_density_report(compute_density(spec, params))
