@@ -9,12 +9,9 @@ from .autodiff import Tensor, backward, gradient_check
 from .nets import (
     NetConfig,
     NetworkSpec,
-    PreferencePrediction,
     build_teacher,
     count_flops,
     count_params,
-    forward_pair,
-    quality_score,
     sequence_quality,
 )
 
@@ -24,12 +21,9 @@ __all__ = [
     "gradient_check",
     "NetConfig",
     "NetworkSpec",
-    "PreferencePrediction",
     "build_teacher",
     "count_flops",
     "count_params",
-    "forward_pair",
-    "quality_score",
     "sequence_quality",
 ]
 

@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Define-by-run: every operation builds a node recording its inputs and a
-backward closure. Calling :func:`backward` on a scalar output replays the
-recorded tape in reverse topological order and accumulates gradients into
-every tensor created with ``requires_grad=True``.
+Define-by-run: every operation builds its output through ``_node``, which
+records the inputs and one gradient rule (vjp) per input. Calling
+:func:`backward` on a scalar output replays the recorded tape in reverse
+topological order and accumulates gradients into every tensor created with
+``requires_grad=True``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "concat",
     "conv2d",
     "dense",
     "leaky_relu",
@@ -116,8 +116,6 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
@@ -164,6 +162,20 @@ def backward(loss: Tensor):
             node._backward(node.grad)
 
 
+def _node(data, parents: tuple[Tensor, ...], vjps: tuple[Callable, ...]) -> Tensor:
+    """The output of an op: ``vjps[i](g)`` is the gradient that reaches ``parents[i]``.
+
+    Backward runs a vjp only for a parent that requires a gradient.
+    """
+
+    def bw(g):
+        for parent, vjp in zip(parents, vjps):
+            if parent.requires_grad:
+                _accumulate(parent, vjp(g))
+
+    return Tensor(data, _parents=parents, _backward=bw)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 
@@ -171,69 +183,40 @@ def backward(loss: Tensor):
 def add(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out_data = a.data + b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bw)
+    return _node(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a.data.shape),
+                                           lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out_data = a.data - b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bw)
+    return _node(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a.data.shape),
+                                           lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out_data = a.data * b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bw)
+    return _node(a.data * b.data, (a, b), (lambda g: _unbroadcast(g * b.data, a.data.shape),
+                                           lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bw(g):
-        _accumulate(a, g / a.data)
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
+    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient is zero where the clamp is active."""
     a = _as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)
-
-    def bw(g):
-        _accumulate(a, g * mask)
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
+    return _node(np.clip(a.data, lo, hi), (a,), (lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     a = _as_tensor(a)
-    out_data = np.where(a.data > 0, a.data, slope * a.data)
-
-    def bw(g):
-        _accumulate(a, g * np.where(a.data > 0, 1.0, slope).astype(a.data.dtype))
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
+    return _node(np.where(a.data > 0, a.data, slope * a.data), (a,),
+                 (lambda g: g * np.where(a.data > 0, 1.0, slope).astype(a.data.dtype),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -244,54 +227,23 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
+    return _node(out_data, (a,), (lambda g: g * out_data * (1.0 - out_data),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def bw(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=bw)
+    return _node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
 
 
 def tsum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.sum()
-
-    def bw(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
+    return _node(a.data.sum(), (a,), (lambda g: np.broadcast_to(g, a.data.shape),))
 
 
 def tmean(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
-    out_data = a.data.mean()
-
-    def bw(g):
-        _accumulate(a, np.broadcast_to(g / n, a.data.shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=bw)
+    return _node(a.data.mean(), (a,), (lambda g: np.broadcast_to(g / n, a.data.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +262,8 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.data.shape != (weight.data.shape[0],):
         raise ShapeError(f"dense bias shape {bias.data.shape} != ({weight.data.shape[0]},)")
-    out_data = x.data @ weight.data.T + bias.data
-
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g @ weight.data)
-        _accumulate(weight, g.T @ x.data)
-        _accumulate(bias, g.sum(axis=0))
-
-    return Tensor(out_data, _parents=(x, weight, bias), _backward=bw)
+    return _node(x.data @ weight.data.T + bias.data, (x, weight, bias),
+                 (lambda g: g @ weight.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0)))
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -339,35 +284,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.data, pad) if padding else x.data
+    # (i, j, the input window that tap (i, j) of the kernel sees at every output position)
+    taps = [(i, j, np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride])
+            for i in range(kh) for j in range(kw)]
     out_data = np.zeros((n, c_out, h_out, w_out), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-            out_data += np.einsum("nchw,oc->nohw", patch, kernel.data[:, :, i, j])
+    for i, j, window in taps:
+        out_data += np.einsum("nchw,oc->nohw", xp[window], kernel.data[:, :, i, j])
     out_data += bias.data.reshape(1, -1, 1, 1)
 
-    def bw(g):
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        gk = np.zeros_like(kernel.data)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-                gk[:, :, i, j] = np.einsum("nohw,nchw->oc", g, patch)
-                if gxp is not None:
-                    gxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                        np.einsum("nohw,oc->nchw", g, kernel.data[:, :, i, j])
-                    )
-        if gxp is not None:
-            gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-            _accumulate(x, gx)
-        _accumulate(kernel, gk)
-        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+    def grad_x(g):
+        gxp = np.zeros_like(xp)
+        for i, j, window in taps:
+            gxp[window] += np.einsum("nohw,oc->nchw", g, kernel.data[:, :, i, j])
+        return gxp[:, :, padding : padding + h, padding : padding + w]
 
-    return Tensor(out_data, _parents=(x, kernel, bias), _backward=bw)
+    def grad_kernel(g):
+        gk = np.zeros_like(kernel.data)
+        for i, j, window in taps:
+            gk[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[window])
+        return gk
+
+    return _node(out_data, (x, kernel, bias),
+                 (grad_x, grad_kernel, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -376,26 +316,21 @@ def avg_pool2(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     cropped = x.data[:, :, : h2 * 2, : w2 * 2]
-    out_data = cropped.reshape(n, c, h2, 2, w2, 2).mean(axis=(3, 5))
 
-    def bw(g):
+    def grad_x(g):
         gx = np.zeros_like(x.data)
         gx[:, :, : h2 * 2, : w2 * 2] = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
-        _accumulate(x, gx)
+        return gx
 
-    return Tensor(out_data, _parents=(x,), _backward=bw)
+    return _node(cropped.reshape(n, c, h2, 2, w2, 2).mean(axis=(3, 5)), (x,), (grad_x,))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over spatial axes: NCHW -> NC."""
     x = _as_tensor(x)
     n, c, h, w = x.data.shape
-    out_data = x.data.mean(axis=(2, 3))
-
-    def bw(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape))
-
-    return Tensor(out_data, _parents=(x,), _backward=bw)
+    return _node(x.data.mean(axis=(2, 3)), (x,),
+                 (lambda g: np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape),))
 
 
 # ---------------------------------------------------------------------------

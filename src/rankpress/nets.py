@@ -121,15 +121,6 @@ class NetConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class PreferencePrediction:
-    """Probability that pair 1 has higher quality, plus the raw scores."""
-
-    p: float
-    s1: float
-    s2: float
-
-
 def build_spec(config: NetConfig) -> NetworkSpec:
     if config.channels < 1 or config.height < 1 or config.width < 1:
         raise ConfigError("patch geometry extents must be positive")
@@ -210,27 +201,6 @@ def pair_input(spec: NetworkSpec, ref: np.ndarray, dist: np.ndarray, dtype=None)
 def score_batch(spec: NetworkSpec, params: ParameterSet, ref: np.ndarray, dist: np.ndarray) -> Tensor:
     dtype = next(iter(params.values())).data.dtype
     return forward_features(spec, params, pair_input(spec, ref, dist, dtype=dtype))
-
-
-def quality_score(spec: NetworkSpec, params: ParameterSet, ref: np.ndarray, dist: np.ndarray) -> float:
-    return float(score_batch(spec, params, ref, dist).data[0])
-
-
-def forward_pair(
-    spec: NetworkSpec,
-    params: ParameterSet,
-    r1: np.ndarray,
-    d1: np.ndarray,
-    r2: np.ndarray,
-    d2: np.ndarray,
-) -> PreferencePrediction:
-    s1 = quality_score(spec, params, r1, d1)
-    s2 = quality_score(spec, params, r2, d2)
-    if s1 == s2:
-        p = 0.5
-    else:
-        p = float(ad.sigmoid(Tensor(np.float64(s1 - s2))).data)
-    return PreferencePrediction(p=p, s1=s1, s2=s2)
 
 
 def sequence_quality(

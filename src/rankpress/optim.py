@@ -177,15 +177,17 @@ def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, config: 
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream, epoch)))
         perm = rng.permutation(len(train_set))
         records = []
+        # the NumericalError path reports a divergence; numpy's warnings would only repeat it
         try:
-            for start in range(0, len(perm), config.batch_size):
-                for p in params.values():
-                    p.zero_grad()
-                # ``loss`` keeps this batch's graph alive until the next one is built.
-                # Freed earlier, its memory goes back to the OS and the next batch
-                # faults it in again: ten times the page faults of the teacher stage.
-                loss, record = step(epoch, train_set[perm[start : start + config.batch_size]])
-                records.append(record)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, len(perm), config.batch_size):
+                    for p in params.values():
+                        p.zero_grad()
+                    # ``loss`` keeps this batch's graph alive until the next one is built.
+                    # Freed earlier, its memory goes back to the OS and the next batch
+                    # faults it in again: ten times the page faults of the teacher stage.
+                    loss, record = step(epoch, train_set[perm[start : start + config.batch_size]])
+                    records.append(record)
         except NumericalError:
             restore(params, last_good)
             log.append({**dict.fromkeys(fields, float("nan")), "epoch": epoch, "diverged": 1})

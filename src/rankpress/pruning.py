@@ -86,14 +86,11 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def build_pruning_plan(
-    spec: NetworkSpec, report: DensityReport, params: ParameterSet | None = None
-) -> PruningPlan:
+def build_pruning_plan(spec: NetworkSpec, report: DensityReport, params: ParameterSet) -> PruningPlan:
     """Backward walk from the head; per-layer input retention round(D*C_in), >= 1.
 
-    When ``params`` is given, channels are ranked by the L1 norm of their
-    weight slices; without parameters the lowest-index channels are kept
-    (used only by identity-style plans in tests).
+    Each layer keeps the input channels whose weight slices in ``params`` have
+    the largest L1 norms.
     """
     densities = report.by_name()
     missing = [l.name for l in spec.layers if l.name not in densities]
@@ -112,11 +109,8 @@ def build_pruning_plan(
                 warnings.warn(f"layer {layer.name}: degenerate density, clamping to 1 channel")
                 keep = 1
             keep = min(layer.in_ch, keep)
-            if params is not None:
-                importance = _channel_importance(params[f"{layer.name}.weight"].data)
-                retained_in = _keep_largest(importance, keep)
-            else:
-                retained_in = tuple(range(keep))
+            importance = _channel_importance(params[f"{layer.name}.weight"].data)
+            retained_in = _keep_largest(importance, keep)
         plans.append(LayerPlan(layer.name, retained_in, retained_out))
         retained_out = retained_in  # the upstream layer keeps the outputs this one reads
 

@@ -204,7 +204,7 @@ class TestGradientCheck:
         params = {
             "k": t(rng.standard_normal((2, 2, 3, 3)) * 0.4, grad=True),
             "kb": t(rng.standard_normal(2) * 0.1, grad=True),
-            "w": t(rng.standard_normal((1, 4)) * 0.4, grad=True),
+            "w": t(rng.standard_normal((1, 2)) * 0.4, grad=True),
             "b": t(rng.standard_normal(1) * 0.1, grad=True),
         }
 
@@ -212,10 +212,37 @@ class TestGradientCheck:
             h = ad.conv2d(Tensor(x), params["k"], params["kb"], padding=1)
             h = ad.leaky_relu(h)
             h = ad.avg_pool2(h)
-            h = ad.concat([h, ad.mul(h, -1.0)], axis=1)
             h = ad.global_avg_pool(h)
             h = ad.dense(h, params["w"], params["b"])
             h = ad.sigmoid(h)
             return ad.tmean(ad.log(ad.clip(h, 1e-7, 1 - 1e-7)))
 
         assert ad.gradient_check(fwd, params, n_coords=20) < 1e-4
+
+
+# parameter shapes and the op under test; every parameter requires a gradient
+OP_GRADIENT_CASES = {
+    "add-broadcast": ({"a": (3, 4), "b": (1, 4)}, lambda p: ad.add(p["a"], p["b"])),
+    "sub-broadcast": ({"a": (3, 4), "b": (1, 4)}, lambda p: ad.sub(p["a"], p["b"])),
+    "mul-broadcast": ({"a": (3, 4), "b": (1, 4)}, lambda p: ad.mul(p["a"], p["b"])),
+    "conv2d-stride2-pad1": (
+        {"x": (2, 2, 7, 7), "k": (3, 2, 3, 3), "kb": (3,)},
+        lambda p: ad.conv2d(p["x"], p["k"], p["kb"], stride=2, padding=1),
+    ),
+    "avg_pool2-odd-extent": ({"x": (2, 3, 7, 5)}, lambda p: ad.avg_pool2(p["x"])),
+    "dense-input-grad": (
+        {"x": (3, 5), "w": (2, 5), "b": (2,)},
+        lambda p: ad.dense(p["x"], p["w"], p["b"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OP_GRADIENT_CASES)
+def test_op_gradients_beside_a_constant_operand(case):
+    shapes, op = OP_GRADIENT_CASES[case]
+    rng = np.random.default_rng(11)
+    params = {name: t(rng.standard_normal(shape), grad=True) for name, shape in shapes.items()}
+    weight = t(rng.standard_normal(op(params).shape))  # a constant: no gradient may reach it
+    err = ad.gradient_check(lambda: ad.tsum(ad.mul(op(params), weight)), params, n_coords=40)
+    assert err < 1e-6
+    assert weight.grad is None

@@ -10,12 +10,13 @@ from rankpress.nets import (
     build_teacher,
     count_flops,
     count_params,
-    forward_pair,
+    init_params,
     pair_input,
-    quality_score,
     score_batch,
     sequence_quality,
 )
+from rankpress.optim import predict_batch
+from rankpress.synthdata import pair_dtype
 
 
 @pytest.fixture(scope="module")
@@ -49,32 +50,43 @@ def test_score_is_scalar_per_item(small_net):
     s = score_batch(spec, params, ref, dist).data
     assert s.shape == (3,)
     assert np.all(np.isfinite(s))
-    assert quality_score(spec, params, ref[:1], dist[:1]) == pytest.approx(float(s[0]), rel=1e-6)
+    assert score_batch(spec, params, ref[:1], dist[:1]).data[0] == pytest.approx(float(s[0]), rel=1e-6)
+
+
+def one_pair(r1, d1, r2, d2) -> np.ndarray:
+    """A one-record ``pair_dtype`` batch holding (r1, d1) against (r2, d2).
+
+    Its patches are float32; float64 parameters make the scores float64.
+    """
+    batch = np.zeros(1, dtype=pair_dtype(*r1.shape))
+    batch["patches"][0] = np.stack([r1, d1, r2, d2])
+    return batch
 
 
 def test_preference_structure(small_net):
-    cfg, (spec, params) = small_net
+    cfg, (spec, _) = small_net
+    params = init_params(spec, seed=cfg.seed, dtype=np.float64)
     rng = np.random.default_rng(4)
-    r = rng.random((1, 1, 16, 16))
-    d1 = rng.random((1, 1, 16, 16))
-    d2 = rng.random((1, 1, 16, 16))
-    pred = forward_pair(spec, params, r, d1, r, d2)
-    # p = sigmoid(s1 - s2), checked against the scores it reports
-    expected = 1.0 / (1.0 + np.exp(-(pred.s1 - pred.s2)))
-    assert pred.p == pytest.approx(expected, abs=1e-12)
+    r, d1, d2 = (rng.random((1, 16, 16)) for _ in range(3))
+    batch = one_pair(r, d1, r, d2)
+    p = float(predict_batch(spec, params, batch).data[0])
+    # p = sigmoid(s1 - s2) of the two sides' scores
+    patches = batch["patches"]
+    s1 = float(score_batch(spec, params, patches[:, 0], patches[:, 1]).data[0])
+    s2 = float(score_batch(spec, params, patches[:, 2], patches[:, 3]).data[0])
+    assert p == pytest.approx(1.0 / (1.0 + np.exp(-(s1 - s2))), abs=1e-12)
     # same distorted image on both sides -> indifference
-    tie = forward_pair(spec, params, r, d1, r, d1)
-    assert tie.p == 0.5
+    tie = predict_batch(spec, params, one_pair(r, d1, r, d1)).data[0]
+    assert tie == 0.5
 
 
 def test_preference_antisymmetry(small_net):
-    cfg, (spec, params) = small_net
+    cfg, (spec, _) = small_net
+    params = init_params(spec, seed=cfg.seed, dtype=np.float64)
     rng = np.random.default_rng(5)
-    r = rng.random((1, 1, 16, 16))
-    d1 = rng.random((1, 1, 16, 16))
-    d2 = rng.random((1, 1, 16, 16))
-    fwd = forward_pair(spec, params, r, d1, r, d2).p
-    rev = forward_pair(spec, params, r, d2, r, d1).p
+    r, d1, d2 = (rng.random((1, 16, 16)) for _ in range(3))
+    fwd = float(predict_batch(spec, params, one_pair(r, d1, r, d2)).data[0])
+    rev = float(predict_batch(spec, params, one_pair(r, d2, r, d1)).data[0])
     assert fwd + rev == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,7 +146,7 @@ def test_sequence_quality_averages_frames(small_net):
     refs = [rng.random((1, 16, 16)) for _ in range(4)]
     dists = [rng.random((1, 16, 16)) for _ in range(4)]
     q = sequence_quality(spec, params, refs, dists)
-    per_frame = [quality_score(spec, params, r[None], d[None]) for r, d in zip(refs, dists)]
+    per_frame = [score_batch(spec, params, r[None], d[None]).data[0] for r, d in zip(refs, dists)]
     assert q == pytest.approx(np.mean(per_frame), rel=1e-5)
 
 
