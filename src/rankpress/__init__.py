@@ -7,7 +7,6 @@ harness, all on a small self-contained autodiff engine.
 
 from .autodiff import Tensor, backward, gradient_check
 from .nets import (
-    NetConfig,
     NetworkSpec,
     build_teacher,
     count_flops,
@@ -19,7 +18,6 @@ __all__ = [
     "Tensor",
     "backward",
     "gradient_check",
-    "NetConfig",
     "NetworkSpec",
     "build_teacher",
     "count_flops",

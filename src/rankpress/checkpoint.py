@@ -6,11 +6,13 @@ Layout (single file):
     meta <key>=<value>            (zero or more)
     layer <name> <kind> <in> <out> <kernel> <stride> <pad>
     tensor <name> <dim,dim,...> <byte-offset>
+    manifest crc32 <hex>          (CRC32 of every byte before this line)
     blob <nbytes> crc32 <hex>
     <raw little-endian float32 bytes>
 
-Tensors are serialized in ``NetworkSpec.param_shapes()`` order; the CRC32 line
-guards the blob, and the reader checks the tensor lines against the layer lines.
+Tensors are serialized in ``NetworkSpec.param_shapes()`` order; the two CRC32s
+guard the manifest and the blob, and the reader checks the tensor lines against
+the layer lines.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ def save_checkpoint(path, spec: NetworkSpec, params: ParameterSet, meta: dict | 
         chunks.append(raw)
         offset += len(raw)
     blob = b"".join(chunks)
-    lines.append(f"blob {len(blob)} crc32 {zlib.crc32(blob):08x}")
-    path.write_bytes("\n".join(lines).encode() + b"\n" + blob)
+    manifest = "\n".join(lines).encode() + b"\n"
+    tail = (f"manifest crc32 {zlib.crc32(manifest):08x}\n"
+            f"blob {len(blob)} crc32 {zlib.crc32(blob):08x}\n")
+    path.write_bytes(manifest + tail.encode() + blob)
 
 
 def checkpoint_hash(path) -> str:
@@ -100,7 +104,9 @@ def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
     meta: dict = {}
     layers: list[LayerSpec] = []
     tensors: dict[str, tuple[tuple[int, ...], int]] = {}
+    prev = (pos, [])  # where the line before the current one starts, and its fields
     while True:
+        start = pos
         line = next_line()
         fields = line.split()
         if fields[0] == "meta":
@@ -115,8 +121,9 @@ def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
             nbytes = int(fields[1])
             crc_expected = fields[3]
             break
-        else:
+        elif fields[0] != "manifest":
             raise CheckpointError(f"unknown manifest line {line!r}")
+        prev = (start, fields)
 
     spec = NetworkSpec(in_ch, height, width, tuple(layers))
     spec.validate()
@@ -126,6 +133,11 @@ def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
     ends = np.cumsum([0] + [4 * math.prod(shape) for shape, _ in tensors.values()]).tolist()
     if [offset for _, offset in tensors.values()] != ends[:-1] or ends[-1] != nbytes:
         raise CheckpointError("tensor offsets do not tile the blob")
+    manifest_end, crc_line = prev
+    if crc_line[:2] != ["manifest", "crc32"]:
+        raise CheckpointError("no manifest checksum line before the blob line")
+    if crc_line[2:] != [f"{zlib.crc32(data[:manifest_end]):08x}"]:
+        raise CheckpointError("manifest checksum mismatch")
 
     blob = data[pos : pos + nbytes]
     if len(blob) != nbytes:

@@ -4,7 +4,8 @@ Subcommands cover the full workflow: gen-data, train-teacher, sparsify,
 prune, distill, eval. Flags override config-file keys; the effective config
 is echoed into every output directory.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success; 1 usage or config error, a bad config value included;
+2 data error, an eval set too small to score included; 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .checkpoint import CheckpointError
 from .nets import ConfigError
 from .optim import NumericalError
 from .pruning import StructureError
+from .stats import StatsError
 from .synthdata import DataFormatError
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -35,8 +37,6 @@ def _overrides(args) -> dict:
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key] = value
-    if getattr(args, "lam", None) is not None:
-        overrides["lam"] = str(args.lam)
     return overrides
 
 
@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", required=True)
-    p.add_argument("--lam", type=float, default=None, help="override the L1 weight")
 
     p = sub.add_parser("prune", help="phase 1b: density-driven channel pruning")
     _add_common(p)
@@ -87,7 +86,7 @@ def run(argv=None) -> int:
         elif args.command == "train-teacher":
             pipeline.train_teacher(cfg, args.data, args.out)
         elif args.command == "sparsify":
-            pipeline.sparsify(cfg, args.data, args.teacher, args.out, lam=args.lam)
+            pipeline.sparsify(cfg, args.data, args.teacher, args.out)
         elif args.command == "prune":
             pipeline.prune(cfg, args.sparse, args.out)
         elif args.command == "distill":
@@ -98,7 +97,7 @@ def run(argv=None) -> int:
     except (ConfigError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, CheckpointError, FileNotFoundError) as exc:
+    except (DataFormatError, CheckpointError, StatsError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:

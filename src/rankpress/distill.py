@@ -8,8 +8,8 @@ ground-truth ranking BCE weighted by alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -17,15 +17,11 @@ from . import autodiff as ad
 # backward and pair_accuracy are not called here: perfbench/tracing.py wraps them in this module.
 from .autodiff import Tensor, backward
 from .nets import NetworkSpec, ParameterSet
-from .optim import (EPS_PROB, AdaMax, OptimizerConfig, descend, fit, pair_accuracy, predict_batch,
-                    ranking_bce_loss)
+from .optim import EPS_PROB, AdaMax, descend, fit, pair_accuracy, predict_batch, ranking_bce_loss
 from .pruning import StructureError
 
-
-@dataclass
-class DistillConfig:
-    alpha: float = 0.1
-    optim: OptimizerConfig = field(default_factory=OptimizerConfig)
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 @dataclass
@@ -98,18 +94,18 @@ def distill_train(
     student_spec: NetworkSpec,
     student_params: ParameterSet,
     train_set: np.ndarray,
-    config: DistillConfig,
+    cfg: PipelineConfig,
     val_set: Optional[np.ndarray] = None,
     log_path=None,
 ) -> list[dict]:
-    """Train the student on the multi-level objective; the teacher stays frozen.
+    """Train the student on the multi-level objective, the ranking term weighted
+    by ``cfg.alpha``; the teacher stays frozen.
 
     Returns the per-epoch log rows of :func:`optim.fit` with all four loss
     terms. Raises ``StructureError`` if the teacher's parameters changed.
     """
     teacher_before = {k: p.data.copy() for k, p in teacher_params.items()}
-    oc = config.optim
-    opt = AdaMax(student_params, lr=oc.lr, beta1=oc.beta1, beta2=oc.beta2)
+    opt = AdaMax(student_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
 
     def step(epoch, batch):
         labels = batch["label"]
@@ -118,7 +114,7 @@ def distill_train(
         bp = BatchPredictions(p_t, p_s, labels)
         li, lb, lc = instance_loss(bp), batch_loss(bp), class_loss(bp)
         lr_term = ranking_bce_loss(p_s, labels)
-        loss = li + lb + lc + config.alpha * lr_term
+        loss = li + lb + lc + cfg.alpha * lr_term
         descend(loss, opt)
         return loss, [float(t.data) for t in (li, lb, lc, lr_term, loss)]
 
@@ -128,7 +124,7 @@ def distill_train(
             sums = [total + v for total, v in zip(sums, terms)]
         return {k: v / len(records) for k, v in zip(DISTILL_TERMS, sums)}
 
-    log = fit(student_spec, student_params, train_set, oc, 0xF0, step, summarize,
+    log = fit(student_spec, student_params, train_set, cfg, 0xF0, step, summarize,
               DISTILL_FIELDS, val_set, log_path)
     for k, p in teacher_params.items():
         if not np.array_equal(p.data, teacher_before[k]):

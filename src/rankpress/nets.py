@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 class ConfigError(ValueError):
@@ -108,34 +111,22 @@ class NetworkSpec:
 ParameterSet = dict[str, Tensor]
 
 
-@dataclass(frozen=True)
-class NetConfig:
-    """Geometry and widths for building a fresh ranking network."""
-
-    channels: int = 1
-    height: int = 64
-    width: int = 64
-    conv_widths: tuple[int, ...] = (32, 64, 128)
-    dense_widths: tuple[int, ...] = (64,)
-    kernel: int = 3
-    seed: int = 0
-
-
-def build_spec(config: NetConfig) -> NetworkSpec:
-    if config.channels < 1 or config.height < 1 or config.width < 1:
+def build_spec(cfg: PipelineConfig) -> NetworkSpec:
+    """The teacher for ``cfg``: its conv and dense widths over square ``patch`` inputs."""
+    if cfg.channels < 1 or cfg.patch < 1:
         raise ConfigError("patch geometry extents must be positive")
-    if any(w < 1 for w in config.conv_widths) or any(w < 1 for w in config.dense_widths):
+    if any(w < 1 for w in cfg.conv_widths) or any(w < 1 for w in cfg.dense_widths):
         raise ConfigError("layer widths must be positive")
-    in_ch = 2 * config.channels  # (R - D) planes concatenated with D planes
+    in_ch = 2 * cfg.channels  # (R - D) planes concatenated with D planes
     layers = []
-    prev, pad = in_ch, config.kernel // 2
-    for i, width in enumerate(config.conv_widths):
-        layers.append(LayerSpec(f"conv{i + 1}", "conv", prev, width, config.kernel, 1, pad))
+    prev, pad = in_ch, cfg.kernel // 2
+    for i, width in enumerate(cfg.conv_widths):
+        layers.append(LayerSpec(f"conv{i + 1}", "conv", prev, width, cfg.kernel, 1, pad))
         prev = width
-    for i, width in enumerate((*config.dense_widths, 1)):  # the last is the score head
+    for i, width in enumerate((*cfg.dense_widths, 1)):  # the last is the score head
         layers.append(LayerSpec(f"fc{i + 1}", "dense", prev, width))
         prev = width
-    spec = NetworkSpec(in_ch, config.height, config.width, tuple(layers))
+    spec = NetworkSpec(in_ch, cfg.patch, cfg.patch, tuple(layers))
     spec.validate()
     return spec
 
@@ -155,9 +146,9 @@ def init_params(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Parameter
     return params
 
 
-def build_teacher(config: NetConfig = NetConfig()) -> tuple[NetworkSpec, ParameterSet]:
-    spec = build_spec(config)
-    return spec, init_params(spec, seed=config.seed)
+def build_teacher(cfg: PipelineConfig) -> tuple[NetworkSpec, ParameterSet]:
+    spec = build_spec(cfg)
+    return spec, init_params(spec, seed=cfg.seed)
 
 
 def forward_features(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:

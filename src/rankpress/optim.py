@@ -11,9 +11,8 @@ statistics.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -21,22 +20,14 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .nets import NetworkSpec, ParameterSet, score_batch
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 EPS_PROB = 1e-7
 
 
 class NumericalError(ArithmeticError):
     """Training hit a non-finite loss or gradient."""
-
-
-@dataclass
-class OptimizerConfig:
-    lr: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    lam: float = 0.1
-    epochs: int = 30
-    batch_size: int = 8
-    seed: int = 0
 
 
 def ranking_bce_loss(p: Tensor, labels: np.ndarray) -> Tensor:
@@ -156,13 +147,13 @@ def descend(loss: Tensor, opt: AdaMax):
     opt.step()
 
 
-def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, config: OptimizerConfig,
+def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, cfg: PipelineConfig,
         stream: int, step: Callable, summarize: Callable, fields: list[str],
         val_set: Optional[np.ndarray] = None, log_path=None) -> list[dict]:
     """The epoch loop of every training phase.
 
     Each epoch visits ``train_set`` in the permutation seeded by
-    ``(config.seed, stream, epoch)`` and calls ``step(epoch, batch)`` on each
+    ``(cfg.seed, stream, epoch)`` and calls ``step(epoch, batch)`` on each
     batch with the gradients zeroed; it returns the batch's loss tensor and a
     record. ``summarize`` turns the epoch's records into the loss columns of
     its log row. A ``NumericalError`` from ``step`` restores the last
@@ -173,20 +164,20 @@ def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, config: 
         raise ValueError("empty training set")
     log: list[dict] = []
     last_good = snapshot(params)
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream, epoch)))
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream, epoch)))
         perm = rng.permutation(len(train_set))
         records = []
         # the NumericalError path reports a divergence; numpy's warnings would only repeat it
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, len(perm), config.batch_size):
+                for start in range(0, len(perm), cfg.batch_size):
                     for p in params.values():
                         p.zero_grad()
                     # ``loss`` keeps this batch's graph alive until the next one is built.
                     # Freed earlier, its memory goes back to the OS and the next batch
                     # faults it in again: ten times the page faults of the teacher stage.
-                    loss, record = step(epoch, train_set[perm[start : start + config.batch_size]])
+                    loss, record = step(epoch, train_set[perm[start : start + cfg.batch_size]])
                     records.append(record)
         except NumericalError:
             restore(params, last_good)
@@ -215,27 +206,28 @@ def train_ranking(
     spec: NetworkSpec,
     params: ParameterSet,
     train_set: np.ndarray,
-    config: OptimizerConfig,
+    cfg: PipelineConfig,
     val_set: Optional[np.ndarray] = None,
     sparsify: bool = False,
     log_path=None,
 ) -> list[dict]:
     """Train the ranking objective on ``pair_dtype`` records; with ``sparsify``
-    adds the L1 machinery. Returns the per-epoch log rows of :func:`fit`.
+    adds the L1 machinery at weight ``cfg.lam``, which is read only then.
+    Returns the per-epoch log rows of :func:`fit`.
     """
-    opt = AdaMax(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    sparse = sparsify and config.lam > 0
+    opt = AdaMax(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    sparse = sparsify and cfg.lam > 0
 
     def step(epoch, batch):
         labels = batch["label"]
-        ref = capture_signs(params) if sparse and epoch >= config.epochs // 2 else None
+        ref = capture_signs(params) if sparse and epoch >= cfg.epochs // 2 else None
         probs = predict_batch(spec, params, batch)
         loss = ranking_bce_loss(probs, labels)
         descend(loss, opt)
         if ref is not None:
-            orthant_step(params, ref, config.lr, config.lam)
+            orthant_step(params, ref, cfg.lr, cfg.lam)
         elif sparse:
-            prox_l1_step(params, config.lr, config.lam)
+            prox_l1_step(params, cfg.lr, cfg.lam)
         return loss, (float(loss.data), int(np.sum((probs.data > 0.5) == (labels == 1))))
 
     def summarize(records):
@@ -246,5 +238,5 @@ def train_ranking(
             "acc": sum(hits for _, hits in records) / len(train_set),
         }
 
-    return fit(spec, params, train_set, config, 0xE0, step, summarize, RANKING_FIELDS,
+    return fit(spec, params, train_set, cfg, 0xE0, step, summarize, RANKING_FIELDS,
                val_set, log_path)

@@ -7,7 +7,7 @@ checkpoints are immutable and each stage writes new files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +15,13 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import distill as kd
 from . import optim, pruning, stats, synthdata
-from .nets import ConfigError, NetConfig, build_spec, count_flops, count_params, init_params
+from .nets import ConfigError, build_spec, build_teacher, count_flops, count_params
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The settings of every stage, from data generation to distillation and eval."""
+
     seed: int = 0
     channels: int = 1
     patch: int = 24
@@ -41,47 +43,32 @@ class PipelineConfig:
     epochs: int = 30
     batch_size: int = 8
 
-    def net_config(self) -> NetConfig:
-        return NetConfig(
-            channels=self.channels,
-            height=self.patch,
-            width=self.patch,
-            conv_widths=self.conv_widths,
-            dense_widths=self.dense_widths,
-            kernel=self.kernel,
-            seed=self.seed,
-        )
-
-    def optimizer_config(self, lam: float | None = None) -> optim.OptimizerConfig:
-        return optim.OptimizerConfig(
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            lam=self.lam if lam is None else lam,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+    def __post_init__(self):
+        if self.levels < 2:
+            raise ConfigError(f"levels must be at least 2, got {self.levels}")
+        for key in ("train_sources", "val_sources", "eval_sources", "pairs_per_source",
+                    "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
-_INT_TUPLE_KEYS = {"conv_widths", "dense_widths"}
-
-
-def _parse_value(key: str, raw: str, kind):
-    if key in _INT_TUPLE_KEYS:
-        return tuple(int(v) for v in raw.split(",") if v != "")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+def _parse_value(key: str, raw, kind, where: str):
+    """``raw`` as a value of ``kind`` (a tuple is of ints); a value that is not a
+    string is taken as it is."""
+    if not isinstance(raw, str):
+        return raw
+    try:
+        if kind is tuple:
+            return tuple(int(v) for v in raw.split(",") if v != "")
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{where}bad value {raw!r} for {key!r}") from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Plaintext key=value config; CLI overrides win; unknown keys rejected."""
-    known = {f.name: f.type for f in fields(PipelineConfig)}
     kinds = {f.name: type(getattr(PipelineConfig(), f.name)) for f in fields(PipelineConfig)}
-    values: dict = {}
+    entries = []  # (key, raw value, where it came from), later entries win
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -89,14 +76,15 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
                 continue
             key, sep, raw = line.partition("=")
             key = key.strip()
-            if not sep or key not in known:
+            if not sep or key not in kinds:
                 raise ConfigError(f"{path}:{lineno}: unknown or malformed key {key!r}")
-            values[key] = _parse_value(key, raw.strip(), kinds[key])
+            entries.append((key, raw.strip(), f"{path}:{lineno}: "))
     for key, raw in (overrides or {}).items():
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, str(raw), kinds[key]) if isinstance(raw, str) else raw
-    return PipelineConfig(**values)
+        entries.append((key, raw, ""))
+    return PipelineConfig(**{key: _parse_value(key, raw, kinds[key], where)
+                             for key, raw, where in entries})
 
 
 def write_effective_config(cfg: PipelineConfig, outdir: Path):
@@ -167,13 +155,10 @@ def _load_pair_data(datadir, *specs):
 
 def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
     outdir = _ensure_outdir(outdir)
-    spec = build_spec(cfg.net_config())
+    spec, params = build_teacher(cfg)
     train, val = _load_pair_data(datadir, spec)
-    params = init_params(spec, seed=cfg.seed)
-    log = optim.train_ranking(
-        spec, params, train, cfg.optimizer_config(lam=0.0), val_set=val,
-        log_path=outdir / "teacher_log.csv",
-    )
+    log = optim.train_ranking(spec, params, train, cfg, val_set=val,
+                              log_path=outdir / "teacher_log.csv")
     out = outdir / "teacher.ckpt"
     completed = [row["epoch"] for row in log if not row["diverged"]]
     last_epoch = completed[-1] if completed else -1
@@ -184,24 +169,23 @@ def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
     return out
 
 
-def sparsify(cfg: PipelineConfig, datadir, teacher_ckpt, outdir, lam: float | None = None) -> Path:
+def sparsify(cfg: PipelineConfig, datadir, teacher_ckpt, outdir) -> Path:
     outdir = _ensure_outdir(outdir)
     spec, params, _meta = ckpt.load_checkpoint(teacher_ckpt)
-    expected = build_spec(cfg.net_config())
+    expected = build_spec(cfg)
     if spec.layers != expected.layers:
         raise ConfigError(
             "checkpoint shape does not match the configured teacher "
             "(refusing a student-shaped or foreign checkpoint)"
         )
     train, val = _load_pair_data(datadir, spec)
-    oconf = cfg.optimizer_config(lam=lam)
     log = optim.train_ranking(
-        spec, params, train, oconf, val_set=val, sparsify=True, log_path=outdir / "sparse_log.csv"
+        spec, params, train, cfg, val_set=val, sparsify=True, log_path=outdir / "sparse_log.csv"
     )
     report = pruning.compute_density(spec, params)
     pruning.write_density_report(outdir / "density.txt", report)
     out = outdir / "sparse.ckpt"
-    ckpt.save_checkpoint(out, spec, params, meta={"phase": "sparse", "lambda": oconf.lam})
+    ckpt.save_checkpoint(out, spec, params, meta={"phase": "sparse", "lambda": cfg.lam})
     write_effective_config(cfg, outdir)
     if log and log[-1].get("diverged"):
         raise optim.NumericalError("sparsity training diverged")
@@ -243,9 +227,8 @@ def distill(cfg: PipelineConfig, datadir, teacher_ckpt, student_ckpt, outdir,
     for p in t_params.values():
         p.requires_grad = False
     hash_before = ckpt.checkpoint_hash(teacher_ckpt)
-    dconf = kd.DistillConfig(alpha=cfg.alpha, optim=cfg.optimizer_config(lam=0.0))
     log = kd.distill_train(
-        t_spec, t_params, s_spec, s_params, train, dconf, val_set=val,
+        t_spec, t_params, s_spec, s_params, train, cfg, val_set=val,
         log_path=outdir / "distill_log.csv",
     )
     if freeze_check and ckpt.checkpoint_hash(teacher_ckpt) != hash_before:

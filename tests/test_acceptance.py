@@ -6,6 +6,7 @@ inside the time budget; the full run itself is the artifact under test.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,22 +18,21 @@ from rankpress.autodiff import Tensor
 from rankpress.checkpoint import load_checkpoint
 from rankpress.distill import (
     BatchPredictions,
-    DistillConfig,
     batch_loss,
     class_loss,
     distill_train,
     instance_loss,
     total_loss,
 )
-from rankpress.nets import NetConfig, build_spec, build_teacher, count_params, init_params, score_batch
+from rankpress.nets import build_spec, build_teacher, count_params, init_params, score_batch
 from rankpress.optim import (
-    OptimizerConfig,
     capture_signs,
     orthant_step,
     pair_accuracy,
     prox_l1_step,
     train_ranking,
 )
+from rankpress.pipeline import PipelineConfig
 from rankpress.pruning import build_pruning_plan, compute_density, identity_plan, prune_network
 from rankpress.stats import average_ranks, f_test, srocc
 from rankpress.synthdata import generate_sources, make_pair_dataset, read_dataset
@@ -82,8 +82,7 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        cfg = NetConfig(channels=1, height=12, width=12, conv_widths=(4, 6), dense_widths=(8,),
-                        seed=seed)
+        cfg = PipelineConfig(channels=1, patch=12, conv_widths=(4, 6), dense_widths=(8,), seed=seed)
         spec = build_spec(cfg)
         params = init_params(spec, seed=seed, dtype=np.float64)
         r1, d1 = rng.random((2, 1, 12, 12)), rng.random((2, 1, 12, 12))
@@ -174,8 +173,7 @@ def test_criterion_4_density_exactness():
     rng = np.random.default_rng(11)
     ok = True
     for seed in range(5):
-        cfg = NetConfig(channels=1, height=16, width=16, conv_widths=(4, 8), dense_widths=(8,),
-                        seed=seed)
+        cfg = PipelineConfig(channels=1, patch=16, conv_widths=(4, 8), dense_widths=(8,), seed=seed)
         spec, params = build_teacher(cfg)
         for name, p in params.items():
             if name.endswith(".weight"):
@@ -196,7 +194,7 @@ def test_criterion_4_density_exactness():
 
 
 def test_criterion_5_pruning_function_preservation():
-    cfg = NetConfig(channels=1, height=16, width=16, conv_widths=(8, 8), dense_widths=(8,), seed=5)
+    cfg = PipelineConfig(channels=1, patch=16, conv_widths=(8, 8), dense_widths=(8,), seed=5)
     spec, params = build_teacher(cfg)
     # kill 3 of 8 channels at the conv1/conv2 junction end to end: producer
     # rows + bias and consumer columns. conv2's density becomes exactly 5/8,
@@ -272,16 +270,14 @@ def test_criterion_7_distillation_benefit(full_run):
     details = []
     for rep in range(3):
         seed = cfg.seed + 100 + rep
-        oconf = OptimizerConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, lam=0.0,
-                                epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
+        rep_cfg = replace(cfg, seed=seed)
 
         d_params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in s_params0.items()}
-        distill_train(t_spec, t_params, s_spec0, d_params, train,
-                      DistillConfig(alpha=cfg.alpha, optim=oconf))
+        distill_train(t_spec, t_params, s_spec0, d_params, train, rep_cfg)
         acc_distilled = pair_accuracy(s_spec0, d_params, val)
 
         sc_params = init_params(s_spec0, seed=seed)
-        train_ranking(s_spec0, sc_params, train, oconf, val_set=None)
+        train_ranking(s_spec0, sc_params, train, rep_cfg, val_set=None)
         acc_scratch = pair_accuracy(s_spec0, sc_params, val)
 
         wins += acc_distilled >= acc_scratch

@@ -9,12 +9,13 @@ from rankpress.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from rankpress.nets import NetConfig, build_teacher
+from rankpress.nets import build_teacher
+from rankpress.pipeline import PipelineConfig
 
 
 @pytest.fixture()
 def net():
-    return build_teacher(NetConfig(conv_widths=(4, 8), dense_widths=(8,), height=16, width=16, seed=2))
+    return build_teacher(PipelineConfig(conv_widths=(4, 8), dense_widths=(8,), patch=16, seed=2))
 
 
 def test_round_trip_bit_exact(net, tmp_path):
@@ -90,7 +91,9 @@ def test_loaded_params_keep_grad_flag(net, tmp_path):
 
 
 # Manifest edits, each on the text before the blob line of a 12x12, 4/8-channel net's
-# checkpoint. The last two keep every tensor name but break the layer lines' shapes.
+# checkpoint. "swapped-conv-dims" and "dense-width-disagrees" keep every tensor name but
+# break the layer lines' shapes. Only the manifest checksum line catches the last three:
+# two edits that still parse and fit the tensors, and the removal of that line.
 MANIFEST_CORRUPTIONS = {
     "version-not-a-number": lambda m: m.replace("RPCK 1", "RPCK x"),
     "offset-past-blob": lambda m: re.sub(r"(tensor fc2\.bias 1) \d+", r"\1 99999", m),
@@ -103,12 +106,15 @@ MANIFEST_CORRUPTIONS = {
     "dense-width-disagrees": lambda m: m.replace("fc1 dense 8 8", "fc1 dense 8 9").replace(
         "fc2 dense 8 1", "fc2 dense 9 1"
     ),
+    "conv2-stride-edited": lambda m: m.replace("layer conv2 conv 4 8 3 1 1", "layer conv2 conv 4 8 3 2 1"),
+    "meta-value-edited": lambda m: m.replace("phase=probe", "phase=probf"),
+    "manifest-checksum-dropped": lambda m: re.sub(r"\nmanifest crc32 [0-9a-f]+$", "", m),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(MANIFEST_CORRUPTIONS))
 def test_corrupt_manifest_rejected(corruption, tmp_path):
-    spec, params = build_teacher(NetConfig(conv_widths=(4, 8), dense_widths=(8,), height=12, width=12))
+    spec, params = build_teacher(PipelineConfig(conv_widths=(4, 8), dense_widths=(8,), patch=12))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, spec, params, meta={"phase": "probe"})
     data = path.read_bytes()

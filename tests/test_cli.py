@@ -4,7 +4,7 @@ import pytest
 
 from rankpress.cli import run
 from rankpress.nets import ConfigError
-from rankpress.pipeline import PipelineConfig, load_config
+from rankpress.pipeline import PipelineConfig, load_config, write_effective_config
 
 TINY = [
     "patch=12",
@@ -48,6 +48,12 @@ class TestConfig:
         cfg = load_config(None, {"conv_widths": "4,8", "dense_widths": "16"})
         assert cfg.conv_widths == (4, 8)
         assert cfg.dense_widths == (16,)
+
+    def test_effective_config_reloads_to_the_config_that_wrote_it(self, tmp_path):
+        cfg = PipelineConfig(conv_widths=(4, 8), dense_widths=(), lr=0.003, lam=0.25, alpha=0.5,
+                             cross_content=1)
+        write_effective_config(cfg, tmp_path)
+        assert load_config(tmp_path / "effective_config.txt") == cfg
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +132,37 @@ class TestPipelineCommands:
         assert "srocc retention:" in text
 
 
+# case -> (what its error line must name, its CLI arguments), where {tmp} is the directory
+# holding cfg.txt and {data} the tiny pipeline's data; each case must exit 1
+BAD_CONFIG_VALUES = {
+    "set-not-an-int": ("epochs", ["gen-data", "--set", "epochs=abc"]),
+    "file-width-not-an-int": ("cfg.txt:2: bad value '4,x' for 'conv_widths'",
+                              ["gen-data", "--config", "{tmp}/cfg.txt"]),
+    "one-level": ("levels", ["gen-data", "--set", "levels=1"]),
+    "no-train-sources": ("train_sources", ["gen-data", "--set", "train_sources=0"]),
+    "zero-batch-size": ("batch_size", ["train-teacher", "--data", "{data}", "--set", "batch_size=0"]),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+    def test_bad_config_value_is_config_error(self, case, artifacts, tmp_path, capsys):
+        named, argv = BAD_CONFIG_VALUES[case]
+        (tmp_path / "cfg.txt").write_text("epochs=2\nconv_widths=4,x\n")
+        argv = [a.format(tmp=tmp_path, data=artifacts[1]["data"]) for a in argv]
+        # the tiny config goes first, so that the case's own --set wins
+        assert run(argv[:1] + _sets() + argv[1:] + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_too_few_eval_items_per_kind_is_data_error(self, artifacts, tmp_path):
+        base, d = artifacts
+        data = tmp_path / "data"
+        assert run(["gen-data", "--out", str(data)] + _sets(["eval_sources=1", "levels=2"])) == 0
+        code = run(["eval", "--eval-data", str(data / "eval.rpev"),
+                    "--ckpt", d["teacher"] + "/teacher.ckpt", "--out", str(tmp_path / "o")] + _sets())
+        assert code == 2
+
     def test_bad_set_syntax_is_config_error(self, tmp_path):
         assert run(["gen-data", "--out", str(tmp_path / "o"), "--set", "epochs"]) == 1
 
@@ -207,11 +243,11 @@ class TestExitCodes:
     def test_eval_checkpoint_geometry_mismatch_is_config_error(self, artifacts, tmp_path):
         base, d = artifacts
         from rankpress.checkpoint import save_checkpoint
-        from rankpress.nets import NetConfig, build_teacher
+        from rankpress.nets import build_teacher
 
         other = tmp_path / "16x16.ckpt"
-        save_checkpoint(other, *build_teacher(NetConfig(height=16, width=16, conv_widths=(4,),
-                                                        dense_widths=(8,))))
+        save_checkpoint(other, *build_teacher(PipelineConfig(patch=16, conv_widths=(4,),
+                                                             dense_widths=(8,))))
         code = run(["eval", "--eval-data", d["data"] + "/eval.rpev", "--ckpt", str(other),
                     "--out", str(tmp_path / "o")] + _sets())
         assert code == 1

@@ -5,7 +5,6 @@ from rankpress import autodiff as ad
 from rankpress.autodiff import Tensor
 from rankpress.distill import (
     BatchPredictions,
-    DistillConfig,
     batch_loss,
     class_loss,
     distill_train,
@@ -14,8 +13,9 @@ from rankpress.distill import (
     teacher_probabilities,
     total_loss,
 )
-from rankpress.nets import NetConfig, build_teacher
-from rankpress.optim import OptimizerConfig, pair_accuracy, ranking_bce_loss
+from rankpress.nets import build_teacher
+from rankpress.optim import pair_accuracy, ranking_bce_loss
+from rankpress.pipeline import PipelineConfig
 from rankpress.pruning import StructureError
 from rankpress.synthdata import generate_sources, make_pair_dataset
 
@@ -107,15 +107,15 @@ class TestTotals:
 
 @pytest.fixture(scope="module")
 def distill_setup():
-    cfg = NetConfig(channels=1, height=12, width=12, conv_widths=(6,), dense_widths=(8,), seed=0)
-    small = NetConfig(channels=1, height=12, width=12, conv_widths=(3,), dense_widths=(4,), seed=1)
+    cfg = PipelineConfig(channels=1, patch=12, conv_widths=(6,), dense_widths=(8,), seed=0)
+    small = PipelineConfig(channels=1, patch=12, conv_widths=(3,), dense_widths=(4,), seed=1)
     sources = generate_sources(8, (1, 12, 12), seed=0)
     train = make_pair_dataset(sources, levels=6, pairs_per_source=6, seed=0)
     val = make_pair_dataset(sources, levels=6, pairs_per_source=2, seed=1)
     t_spec, t_params = build_teacher(cfg)
     from rankpress.optim import train_ranking
 
-    train_ranking(t_spec, t_params, train, OptimizerConfig(epochs=6, seed=0))
+    train_ranking(t_spec, t_params, train, PipelineConfig(epochs=6, seed=0))
     return small, (t_spec, t_params), train, val
 
 
@@ -124,7 +124,7 @@ class TestDistillTrain:
         small, (t_spec, t_params), train, val = distill_setup
         before = {k: p.data.copy() for k, p in t_params.items()}
         s_spec, s_params = build_teacher(small)
-        cfg = DistillConfig(optim=OptimizerConfig(epochs=6, seed=0))
+        cfg = PipelineConfig(epochs=6, seed=0)
         log = distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
         for k in t_params:
             assert np.array_equal(t_params[k].data, before[k])
@@ -136,7 +136,7 @@ class TestDistillTrain:
         outs = []
         for _ in range(2):
             s_spec, s_params = build_teacher(small)
-            cfg = DistillConfig(optim=OptimizerConfig(epochs=2, seed=3))
+            cfg = PipelineConfig(epochs=2, seed=3)
             distill_train(t_spec, t_params, s_spec, s_params, train, cfg)
             outs.append({k: p.data.copy() for k, p in s_params.items()})
         for k in outs[0]:
@@ -145,7 +145,7 @@ class TestDistillTrain:
     def test_log_schema(self, distill_setup):
         small, (t_spec, t_params), train, val = distill_setup
         s_spec, s_params = build_teacher(small)
-        cfg = DistillConfig(optim=OptimizerConfig(epochs=2, seed=0))
+        cfg = PipelineConfig(epochs=2, seed=0)
         log = distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
         for row in log:
             for key in ("epoch", "instance", "batch", "class", "rank", "total", "val_acc", "diverged"):
@@ -155,7 +155,7 @@ class TestDistillTrain:
         small, (t_spec, t_params), train, val = distill_setup
         s_spec, s_params = build_teacher(small)
         before = {k: p.data.tobytes() for k, p in s_params.items()}
-        cfg = DistillConfig(optim=OptimizerConfig(epochs=3, lr=1e30, seed=0))
+        cfg = PipelineConfig(epochs=3, lr=1e30, seed=0)
         with np.errstate(all="ignore"):
             log = distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
         assert len(log) == 1
@@ -166,7 +166,7 @@ class TestDistillTrain:
     def test_teacher_as_student_rejected(self, distill_setup):
         small, _, train, _ = distill_setup
         spec, params = build_teacher(small)
-        cfg = DistillConfig(optim=OptimizerConfig(epochs=1, seed=0))
+        cfg = PipelineConfig(epochs=1, seed=0)
         with pytest.raises(StructureError):
             distill_train(spec, params, spec, params, train, cfg)
 

@@ -4,7 +4,6 @@ import pytest
 from rankpress.nets import (
     ConfigError,
     LayerSpec,
-    NetConfig,
     NetworkSpec,
     build_spec,
     build_teacher,
@@ -16,12 +15,13 @@ from rankpress.nets import (
     sequence_quality,
 )
 from rankpress.optim import predict_batch
+from rankpress.pipeline import PipelineConfig
 from rankpress.synthdata import pair_dtype
 
 
 @pytest.fixture(scope="module")
 def small_net():
-    cfg = NetConfig(channels=1, height=16, width=16, conv_widths=(4, 8), dense_widths=(8,), seed=3)
+    cfg = PipelineConfig(channels=1, patch=16, conv_widths=(4, 8), dense_widths=(8,), seed=3)
     return cfg, build_teacher(cfg)
 
 
@@ -91,7 +91,7 @@ def test_preference_antisymmetry(small_net):
 
 
 def test_spec_geometry_chain():
-    cfg = NetConfig(channels=1, height=32, width=32, conv_widths=(4, 8, 16), dense_widths=(8,))
+    cfg = PipelineConfig(channels=1, patch=32, conv_widths=(4, 8, 16), dense_widths=(8,))
     spec = build_spec(cfg)
     # conv layers consume 2 input channels (difference + distorted)
     assert spec.layers[0].in_ch == 2
@@ -101,12 +101,12 @@ def test_spec_geometry_chain():
 
 
 def test_init_is_seed_deterministic():
-    cfg = NetConfig(conv_widths=(4,), dense_widths=(4,), height=16, width=16, seed=11)
+    cfg = PipelineConfig(conv_widths=(4,), dense_widths=(4,), patch=16, seed=11)
     _, p1 = build_teacher(cfg)
     _, p2 = build_teacher(cfg)
     for k in p1:
         assert np.array_equal(p1[k].data, p2[k].data)
-    _, p3 = build_teacher(NetConfig(conv_widths=(4,), dense_widths=(4,), height=16, width=16, seed=12))
+    _, p3 = build_teacher(PipelineConfig(conv_widths=(4,), dense_widths=(4,), patch=16, seed=12))
     assert any(not np.array_equal(p1[k].data, p3[k].data) for k in p1)
 
 
@@ -114,7 +114,8 @@ class TestCounts:
     def test_default_teacher_param_count(self):
         # closed form: sum over layers of (k*k*cin*cout + cout) for conv,
         # (fin*fout + fout) for dense
-        spec, params = build_teacher(NetConfig())
+        spec, params = build_teacher(
+            PipelineConfig(patch=64, conv_widths=(32, 64, 128), dense_widths=(64,)))
         expected = 0
         for lay in spec.layers:
             if lay.kind == "conv":
@@ -124,7 +125,7 @@ class TestCounts:
         assert count_params(params) == expected == 101281
 
     def test_nonzero_only_counting(self):
-        spec, params = build_teacher(NetConfig(conv_widths=(4,), dense_widths=(4,), height=16, width=16))
+        spec, params = build_teacher(PipelineConfig(conv_widths=(4,), dense_widths=(4,), patch=16))
         before = count_params(params, nonzero_only=True)
         first = next(k for k in params if k.endswith("weight"))
         newly_zeroed = int(np.count_nonzero(params[first].data[..., 0]))
@@ -133,7 +134,7 @@ class TestCounts:
 
     def test_flops_small_oracle(self):
         # one 3x3 conv, 2->4 channels, 8x8 padded output, then GAP + dense 4->1
-        cfg = NetConfig(channels=1, height=8, width=8, conv_widths=(4,), dense_widths=())
+        cfg = PipelineConfig(channels=1, patch=8, conv_widths=(4,), dense_widths=())
         spec, params = build_teacher(cfg)
         conv = 2 * 3 * 3 * 2 * 4 * 8 * 8
         head = 2 * 4 * 1
@@ -152,19 +153,19 @@ def test_sequence_quality_averages_frames(small_net):
 
 def test_bad_config_rejected():
     with pytest.raises(ConfigError):
-        build_spec(NetConfig(conv_widths=(0,)))
+        build_spec(PipelineConfig(conv_widths=(0,)))
     with pytest.raises(ConfigError):
-        build_spec(NetConfig(height=2, width=2, conv_widths=(4, 4, 4, 4)))
+        build_spec(PipelineConfig(patch=2, conv_widths=(4, 4, 4, 4)))
 
 
 def test_param_shapes_are_the_init_params_layout():
-    spec, params = build_teacher(NetConfig())
+    spec, params = build_teacher(PipelineConfig())
     assert [(n, p.data.shape) for n, p in params.items()] == list(spec.param_shapes().items())
 
 
 def test_geometry_walk_rejects_what_does_not_fit():
     with pytest.raises(ConfigError, match="patch too small"):
-        build_spec(NetConfig(height=2, width=2, conv_widths=(4, 4, 4, 4)))
+        build_spec(PipelineConfig(patch=2, conv_widths=(4, 4, 4, 4)))
     # build_spec pads by kernel // 2, which keeps every kernel inside the padded input,
     # so an unpadded spec reaches the kernel check
     head = LayerSpec("fc1", "dense", 4, 1)

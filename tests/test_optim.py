@@ -4,11 +4,10 @@ import pytest
 from rankpress import autodiff as ad
 from rankpress import optim
 from rankpress.autodiff import Tensor
-from rankpress.nets import NetConfig, build_teacher
+from rankpress.nets import build_teacher
 from rankpress.optim import (
     AdaMax,
     NumericalError,
-    OptimizerConfig,
     capture_signs,
     nonzero_weight_count,
     orthant_step,
@@ -17,6 +16,7 @@ from rankpress.optim import (
     ranking_bce_loss,
     train_ranking,
 )
+from rankpress.pipeline import PipelineConfig
 from rankpress.synthdata import generate_sources, make_pair_dataset
 
 
@@ -148,7 +148,7 @@ class TestOrthant:
 
 @pytest.fixture(scope="module")
 def tiny_task():
-    cfg = NetConfig(channels=1, height=12, width=12, conv_widths=(4,), dense_widths=(8,), seed=0)
+    cfg = PipelineConfig(channels=1, patch=12, conv_widths=(4,), dense_widths=(8,), seed=0)
     sources = generate_sources(8, (1, 12, 12), seed=0)
     train = make_pair_dataset(sources, levels=6, pairs_per_source=6, seed=0)
     val = make_pair_dataset(sources, levels=6, pairs_per_source=2, seed=1)
@@ -159,7 +159,7 @@ class TestTraining:
     def test_loss_decreases_and_beats_chance(self, tiny_task):
         cfg, train, val = tiny_task
         spec, params = build_teacher(cfg)
-        log = train_ranking(spec, params, train, OptimizerConfig(epochs=6, seed=0), val_set=val)
+        log = train_ranking(spec, params, train, PipelineConfig(epochs=6, seed=0), val_set=val)
         assert log[-1]["loss"] < log[0]["loss"]
         assert pair_accuracy(spec, params, val) > 0.5
 
@@ -167,24 +167,24 @@ class TestTraining:
         cfg, train, _ = tiny_task
         spec1, p1 = build_teacher(cfg)
         spec2, p2 = build_teacher(cfg)
-        train_ranking(spec1, p1, train, OptimizerConfig(epochs=3, seed=5))
-        train_ranking(spec2, p2, train, OptimizerConfig(epochs=3, seed=5))
+        train_ranking(spec1, p1, train, PipelineConfig(epochs=3, seed=5))
+        train_ranking(spec2, p2, train, PipelineConfig(epochs=3, seed=5))
         for k in p1:
             assert np.array_equal(p1[k].data, p2[k].data)
 
     def test_sparse_phase_produces_exact_zeros(self, tiny_task):
         cfg, train, _ = tiny_task
         spec, params = build_teacher(cfg)
-        train_ranking(spec, params, train, OptimizerConfig(epochs=3, seed=0))
+        train_ranking(spec, params, train, PipelineConfig(epochs=3, seed=0))
         dense_nonzero = nonzero_weight_count(params)
-        train_ranking(spec, params, train, OptimizerConfig(epochs=6, lam=0.1, seed=0), sparsify=True)
+        train_ranking(spec, params, train, PipelineConfig(epochs=6, lam=0.1, seed=0), sparsify=True)
         sparse_nonzero = nonzero_weight_count(params)
         assert sparse_nonzero < dense_nonzero
 
     def test_log_schema(self, tiny_task):
         cfg, train, val = tiny_task
         spec, params = build_teacher(cfg)
-        log = train_ranking(spec, params, train, OptimizerConfig(epochs=2, seed=0), val_set=val)
+        log = train_ranking(spec, params, train, PipelineConfig(epochs=2, seed=0), val_set=val)
         assert len(log) == 2
         for row in log:
             for key in ("epoch", "loss", "l1", "nonzero", "acc", "val_acc", "diverged"):
@@ -195,7 +195,7 @@ class TestTraining:
         spec, params = build_teacher(cfg)
         before = {k: p.data.tobytes() for k, p in params.items()}
         with np.errstate(all="ignore"):
-            log = train_ranking(spec, params, train, OptimizerConfig(epochs=3, lr=1e30, seed=0),
+            log = train_ranking(spec, params, train, PipelineConfig(epochs=3, lr=1e30, seed=0),
                                 val_set=val)
         assert len(log) == 1
         assert log[0]["epoch"] == 0 and log[0]["diverged"] == 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rankpress.autodiff import Tensor
-from rankpress.nets import NetConfig, build_teacher, count_params, score_batch
+from rankpress.nets import build_teacher, count_params, score_batch
+from rankpress.pipeline import PipelineConfig
 from rankpress.pruning import (
     DensityReport,
     LayerDensity,
@@ -18,7 +19,7 @@ from rankpress.pruning import (
 
 @pytest.fixture()
 def net():
-    cfg = NetConfig(channels=1, height=16, width=16, conv_widths=(4, 8), dense_widths=(8,), seed=1)
+    cfg = PipelineConfig(channels=1, patch=16, conv_widths=(4, 8), dense_widths=(8,), seed=1)
     return cfg, build_teacher(cfg)
 
 
@@ -66,7 +67,7 @@ class TestPlan:
             assert a.retained_out == b.retained_out
 
     def test_quarter_density_keeps_quarter_inputs(self):
-        cfg = NetConfig(channels=1, height=16, width=16, conv_widths=(64,), dense_widths=(), seed=0)
+        cfg = PipelineConfig(channels=1, patch=16, conv_widths=(64,), dense_widths=(), seed=0)
         spec, params = build_teacher(cfg)
         report = DensityReport(
             tuple(
@@ -98,7 +99,7 @@ class TestPlan:
         assert plan.layers[0].retained_in == tuple(range(spec.layers[0].in_ch))
 
     def test_l1_ranking_with_index_ties(self):
-        cfg = NetConfig(channels=1, height=16, width=16, conv_widths=(4,), dense_widths=(), seed=0)
+        cfg = PipelineConfig(channels=1, patch=16, conv_widths=(4,), dense_widths=(), seed=0)
         spec, params = build_teacher(cfg)
         w = params["fc1.weight"].data
         w[:] = 0.0

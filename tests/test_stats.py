@@ -5,7 +5,8 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankpress.nets import NetConfig, build_teacher
+from rankpress.nets import build_teacher
+from rankpress.pipeline import PipelineConfig
 from rankpress.stats import (
     StatsError,
     average_ranks,
@@ -173,7 +174,7 @@ class TestLogisticFit:
 
 @pytest.fixture(scope="module")
 def eval_setup():
-    cfg = NetConfig(channels=1, height=12, width=12, conv_widths=(4,), dense_widths=(8,), seed=0)
+    cfg = PipelineConfig(channels=1, patch=12, conv_widths=(4,), dense_widths=(8,), seed=0)
     spec_params = build_teacher(cfg)
     sources = generate_sources(4, (1, 12, 12), seed=2)
     items = make_eval_dataset(sources, levels=6, seed=2)
@@ -207,7 +208,7 @@ class TestEvaluate:
 
     def test_comparison_ratios(self, eval_setup):
         (spec, params), datasets = eval_setup
-        small_cfg = NetConfig(channels=1, height=12, width=12, conv_widths=(2,), dense_widths=(4,), seed=1)
+        small_cfg = PipelineConfig(channels=1, patch=12, conv_widths=(2,), dense_widths=(4,), seed=1)
         small = build_teacher(small_cfg)
         ref = evaluate_model(spec, params, datasets)
         cand = evaluate_model(small[0], small[1], datasets)
