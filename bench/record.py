@@ -1,0 +1,171 @@
+"""Record where the rankpress pipeline spends its time, into ``BENCH_<label>.json``.
+
+    python3 bench/record.py --label before [--reps 5]
+
+Run from a checkout: the program is imported from the ``src/`` beside this
+script. The file holds
+
+- ``layers``: the median forward and backward milliseconds of each layer
+  (conv1 ... fcN) of the configured teacher and of a fixed student (conv
+  widths 4/6/20, dense width 20), at batch 8 and 16. A layer's time covers
+  ``nets.layer_forward``, the op chain the forward pass runs for it; its
+  backward starts from the sum of its output, and its input needs a gradient
+  unless it is the first layer;
+- ``stages``: the wall seconds of each stage of one 2-epoch pipeline
+  (``epochs=2, lam=1.0``), and the student's ``ratio.txt``;
+- ``machine``: CPU count, Python, numpy and BLAS versions, the BLAS thread
+  count and the git commit of the checkout.
+
+Both parts use the default pipeline configuration. Like ``perfbench``, the
+recorder runs one BLAS thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import dataclasses
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from rankpress import autodiff as ad  # noqa: E402
+from rankpress import nets, pipeline  # noqa: E402
+
+STUDENT = {"conv_widths": (4, 6, 20), "dense_widths": (20,)}
+BATCHES = (8, 16)
+
+
+def _git(*args) -> str | None:
+    try:
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "nproc": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+    }
+
+
+def time_layers(spec: nets.NetworkSpec, params: nets.ParameterSet, batch: int,
+                reps: int) -> dict:
+    """Median forward and backward ms of each layer on the activations of a random batch."""
+    rng = np.random.default_rng(0)
+    c = spec.in_channels // 2
+    ref = rng.random((batch, c, spec.height, spec.width), dtype=np.float32)
+    dist = rng.random((batch, c, spec.height, spec.width), dtype=np.float32)
+    act = nets.pair_input(spec, ref, dist).data
+    rows = {}
+    for i, layer in enumerate(spec.layers):
+        forward, backward = [], []
+        for _ in range(reps):
+            for p in params.values():
+                p.zero_grad()
+            x = ad.Tensor(act, requires_grad=i > 0)
+            t0 = time.perf_counter()
+            out = nets.layer_forward(layer, params, x)
+            t1 = time.perf_counter()
+            ad.backward(ad.tsum(out))
+            t2 = time.perf_counter()
+            forward.append(t1 - t0)
+            backward.append(t2 - t1)
+        rows[layer.name] = {"forward_ms": 1e3 * statistics.median(forward),
+                            "backward_ms": 1e3 * statistics.median(backward)}
+        act = out.data
+    return rows
+
+
+def time_stages(cfg: pipeline.PipelineConfig, work: Path) -> dict:
+    """Wall seconds of each stage of one pipeline run in ``work``."""
+    p = pipeline
+    data = work / "data"
+    teacher = work / "teacher" / "teacher.ckpt"
+    sparse = work / "sparse" / "sparse.ckpt"
+    student = work / "pruned" / "student.ckpt"
+    distilled = work / "distill" / "distilled.ckpt"
+    stages = [
+        ("gen_data", lambda: p.gen_data(cfg, data)),
+        ("train_teacher", lambda: p.train_teacher(cfg, data, teacher.parent)),
+        ("sparsify", lambda: p.sparsify(cfg, data, teacher, sparse.parent)),
+        ("prune", lambda: p.prune(cfg, sparse, student.parent)),
+        ("distill", lambda: p.distill(cfg, data, teacher, student, distilled.parent)),
+        ("eval", lambda: p.evaluate(cfg, data / "eval.rpev", [distilled, teacher], work / "eval")),
+    ]
+    seconds = {}
+    for name, run in stages:
+        t0 = time.perf_counter()
+        run()
+        seconds[name] = time.perf_counter() - t0
+    seconds["total"] = sum(seconds.values())
+    ratio = dict(line.split("=") for line in (student.parent / "ratio.txt").read_text().split())
+    return {"seconds": seconds, "ratio": ratio}
+
+
+def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = None) -> Path:
+    """Write ``BENCH_<label>.json`` into ``outdir``; ``overrides`` are ``--set``
+    pairs of the CLI on top of the 2-epoch configuration, for a smaller run."""
+    cfg = pipeline.load_config(overrides={"epochs": "2", "lam": "1.0", **(overrides or {})})
+    layers, shapes = {}, {}
+    for name, net_cfg in (("teacher", cfg), ("student", dataclasses.replace(cfg, **STUDENT))):
+        spec, params = nets.build_teacher(net_cfg)
+        shapes[name] = {"conv_widths": list(net_cfg.conv_widths),
+                        "dense_widths": list(net_cfg.dense_widths), "patch": net_cfg.patch,
+                        "params": nets.count_params(params), "flops": nets.count_flops(spec)}
+        layers[name] = {str(b): time_layers(spec, params, b, reps) for b in BATCHES}
+    with tempfile.TemporaryDirectory(prefix="rankpress-bench-") as work:
+        stages = time_stages(cfg, Path(work))
+    result = {
+        "label": label,
+        "machine": machine(),
+        "config": {k: list(v) if isinstance(v, tuple) else v
+                   for k, v in dataclasses.asdict(cfg).items()},
+        "reps": reps,
+        "nets": shapes,
+        "layers": layers,
+        "stages": stages,
+    }
+    out = outdir / f"BENCH_{label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--reps", type=int, default=5, help="repetitions per layer timing")
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    print(record(args.label, args.reps))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

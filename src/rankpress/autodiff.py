@@ -214,9 +214,10 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    """max(x, slope * x): for 0 < slope < 1 the same bits as where(x > 0, x, slope * x)."""
     a = _as_tensor(a)
-    return _node(np.where(a.data > 0, a.data, slope * a.data), (a,),
-                 (lambda g: g * np.where(a.data > 0, 1.0, slope).astype(a.data.dtype),))
+    return _node(np.maximum(a.data, slope * a.data), (a,),
+                 (lambda g: np.where(a.data > 0, g, slope * g),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -267,7 +268,12 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation over NCHW input with an OIHW kernel."""
+    """2-d cross-correlation over NCHW input with an OIHW kernel.
+
+    One matmul per kernel tap, taps in row-major order: tap (i, j) multiplies
+    the (O, C) slice of the kernel into the (N, C, H_out*W_out) input window
+    it sees, and the taps' products are summed in that order.
+    """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d expects 4-d input and kernel")
@@ -286,43 +292,55 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     xp = np.pad(x.data, pad) if padding else x.data
-    # (i, j, the input window that tap (i, j) of the kernel sees at every output position)
-    taps = [(i, j, np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride])
-            for i in range(kh) for j in range(kw)]
-    out_data = np.zeros((n, c_out, h_out, w_out), dtype=x.data.dtype)
-    for i, j, window in taps:
-        out_data += np.einsum("nchw,oc->nohw", xp[window], kernel.data[:, :, i, j])
-    out_data += bias.data.reshape(1, -1, 1, 1)
+    # the rows and columns of the padded input that tap (i, j) sees at every output position
+    spans = [(np.s_[i : i + stride * h_out : stride], np.s_[j : j + stride * w_out : stride])
+             for i in range(kh) for j in range(kw)]
+    k_taps = [kernel.data[:, :, i, j] for i in range(kh) for j in range(kw)]  # (O, C) each
+    out_data = np.zeros((n, c_out, h_out * w_out), dtype=x.data.dtype)
+    for k_tap, (rows, cols) in zip(k_taps, spans):
+        out_data += k_tap @ xp[:, :, rows, cols].reshape(n, c_in, h_out * w_out)
+    out_data = out_data.reshape(n, c_out, h_out, w_out) + bias.data.reshape(1, -1, 1, 1)
 
     def grad_x(g):
+        g = g.reshape(n, c_out, h_out * w_out)
         gxp = np.zeros_like(xp)
-        for i, j, window in taps:
-            gxp[window] += np.einsum("nohw,oc->nchw", g, kernel.data[:, :, i, j])
+        for k_tap, (rows, cols) in zip(k_taps, spans):
+            gxp[:, :, rows, cols] += (k_tap.T @ g).reshape(n, c_in, h_out, w_out)
         return gxp[:, :, padding : padding + h, padding : padding + w]
 
     def grad_kernel(g):
-        gk = np.zeros_like(kernel.data)
-        for i, j, window in taps:
-            gk[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[window])
-        return gk
+        # tensordot(g, window, ((0, 2), (0, 2))) per tap, written as the same dot: g is
+        # laid out as its (O, N*H_out*W_out) operand once, and each window is gathered as
+        # its (N*H_out*W_out, C) operand from one channels-last copy of the padded input
+        g_rows = g.reshape(n, c_out, h_out * w_out).transpose(1, 0, 2).reshape(c_out, -1)
+        xp_last = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
+        taps = [g_rows @ xp_last[:, rows, cols].reshape(-1, c_in) for rows, cols in spans]
+        return np.stack(taps, axis=-1).reshape(c_out, c_in, kh, kw)
 
     return _node(out_data, (x, kernel, bias),
                  (grad_x, grad_kernel, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def avg_pool2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2 (trailing odd row/column dropped)."""
+    """2x2 average pooling with stride 2 (trailing odd row/column dropped).
+
+    Each output is the sum of its window's four inputs, in row-major order,
+    times 0.25.
+    """
     x = _as_tensor(x)
-    n, c, h, w = x.data.shape
-    h2, w2 = h // 2, w // 2
-    cropped = x.data[:, :, : h2 * 2, : w2 * 2]
+    h2, w2 = x.data.shape[2] // 2, x.data.shape[3] // 2
+    corners = [np.s_[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+    a = x.data
+    out = (a[corners[0]] + a[corners[1]] + a[corners[2]] + a[corners[3]]) * 0.25
 
     def grad_x(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :, : h2 * 2, : w2 * 2] = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
+        gx = np.zeros_like(a)
+        quarter = g * 0.25
+        for corner in corners:
+            gx[corner] = quarter
         return gx
 
-    return _node(cropped.reshape(n, c, h2, 2, w2, 2).mean(axis=(3, 5)), (x,), (grad_x,))
+    return _node(out, (x,), (grad_x,))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

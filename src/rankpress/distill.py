@@ -17,7 +17,8 @@ from . import autodiff as ad
 # backward and pair_accuracy are not called here: perfbench/tracing.py wraps them in this module.
 from .autodiff import Tensor, backward
 from .nets import NetworkSpec, ParameterSet
-from .optim import EPS_PROB, AdaMax, descend, fit, pair_accuracy, predict_batch, ranking_bce_loss
+from .optim import (EPS_PROB, AdaMax, descend, fit, pair_accuracy, predict_batch,
+                    predict_probabilities, ranking_bce_loss)
 from .pruning import StructureError
 
 if TYPE_CHECKING:
@@ -79,9 +80,9 @@ def total_loss(bp: BatchPredictions, alpha: float = 0.1) -> Tensor:
     return multilevel_loss(bp) + alpha * ranking_bce_loss(bp.student, bp.labels)
 
 
-def teacher_probabilities(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) -> np.ndarray:
-    """Forward the frozen teacher; returns plain probabilities (no gradients)."""
-    return predict_batch(spec, params, batch).data.copy()
+def teacher_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray) -> np.ndarray:
+    """Forward the frozen teacher over ``pairs``; returns plain probabilities (no gradients)."""
+    return predict_probabilities(spec, params, pairs)
 
 
 DISTILL_TERMS = ["instance", "batch", "class", "rank", "total"]
@@ -106,12 +107,13 @@ def distill_train(
     """
     teacher_before = {k: p.data.copy() for k, p in teacher_params.items()}
     opt = AdaMax(student_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    # the teacher is frozen: one forward over the train set serves every epoch
+    p_teacher = teacher_probabilities(teacher_spec, teacher_params, train_set)
 
-    def step(epoch, batch):
+    def step(epoch, batch, idx):
         labels = batch["label"]
-        p_t = teacher_probabilities(teacher_spec, teacher_params, batch)
         p_s = predict_batch(student_spec, student_params, batch)
-        bp = BatchPredictions(p_t, p_s, labels)
+        bp = BatchPredictions(p_teacher[idx], p_s, labels)
         li, lb, lc = instance_loss(bp), batch_loss(bp), class_loss(bp)
         lr_term = ranking_bce_loss(p_s, labels)
         loss = li + lb + lc + cfg.alpha * lr_term

@@ -114,7 +114,9 @@ ParameterSet = dict[str, Tensor]
 def build_spec(cfg: PipelineConfig) -> NetworkSpec:
     """The teacher for ``cfg``: its conv and dense widths over square ``patch`` inputs."""
     if cfg.channels < 1 or cfg.patch < 1:
-        raise ConfigError("patch geometry extents must be positive")
+        raise ConfigError(
+            f"channels and patch must be positive, got {cfg.channels} and {cfg.patch}"
+        )
     if any(w < 1 for w in cfg.conv_widths) or any(w < 1 for w in cfg.dense_widths):
         raise ConfigError("layer widths must be positive")
     in_ch = 2 * cfg.channels  # (R - D) planes concatenated with D planes
@@ -151,19 +153,23 @@ def build_teacher(cfg: PipelineConfig) -> tuple[NetworkSpec, ParameterSet]:
     return spec, init_params(spec, seed=cfg.seed)
 
 
+def layer_forward(layer: LayerSpec, params: ParameterSet, x: Tensor) -> Tensor:
+    """One layer of the stack: conv, leaky ReLU and 2x average pool; or dense."""
+    w = params[f"{layer.name}.weight"]
+    b = params[f"{layer.name}.bias"]
+    if layer.kind == "conv":
+        out = ad.conv2d(x, w, b, stride=layer.stride, padding=layer.padding)
+        return ad.avg_pool2(ad.leaky_relu(out))
+    # the first dense layer pools the NCHW maps, the later ones follow leaky ReLU
+    x = ad.global_avg_pool(x) if x.data.ndim == 4 else ad.leaky_relu(x)
+    return ad.dense(x, w, b)
+
+
 def forward_features(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
     """Run the spec'd layer stack on a prepared NCHW input, returning scores [N]."""
     out = x
     for layer in spec.layers:
-        w = params[f"{layer.name}.weight"]
-        b = params[f"{layer.name}.bias"]
-        if layer.kind == "conv":
-            out = ad.conv2d(out, w, b, stride=layer.stride, padding=layer.padding)
-            out = ad.leaky_relu(out)
-            out = ad.avg_pool2(out)
-        else:  # the first dense layer pools the NCHW maps, the later ones follow leaky ReLU
-            out = ad.global_avg_pool(out) if out.data.ndim == 4 else ad.leaky_relu(out)
-            out = ad.dense(out, w, b)
+        out = layer_forward(layer, params, out)
     return ad.reshape(out, (out.data.shape[0],))
 
 

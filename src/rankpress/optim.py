@@ -118,16 +118,20 @@ def predict_batch(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) ->
     return ad.sigmoid(s1 - s2)
 
 
+def predict_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray,
+                          batch_size: int = 64) -> np.ndarray:
+    """``predict_batch`` over ``pairs``, ``batch_size`` at a time, as a plain array."""
+    probs = [predict_batch(spec, params, pairs[start : start + batch_size]).data
+             for start in range(0, len(pairs), batch_size)]
+    return np.concatenate(probs) if probs else np.empty(0)
+
+
 def pair_accuracy(spec: NetworkSpec, params: ParameterSet, dataset: np.ndarray,
                   batch_size: int = 64) -> float:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    correct = 0
-    for start in range(0, len(dataset), batch_size):
-        batch = dataset[start : start + batch_size]
-        p = predict_batch(spec, params, batch).data
-        correct += int(np.sum((p > 0.5) == (batch["label"] == 1)))
-    return correct / len(dataset)
+    probs = predict_probabilities(spec, params, dataset, batch_size)
+    return float(np.mean((probs > 0.5) == (dataset["label"] == 1)))
 
 
 def snapshot(params: ParameterSet) -> dict[str, np.ndarray]:
@@ -153,12 +157,13 @@ def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, cfg: Pip
     """The epoch loop of every training phase.
 
     Each epoch visits ``train_set`` in the permutation seeded by
-    ``(cfg.seed, stream, epoch)`` and calls ``step(epoch, batch)`` on each
-    batch with the gradients zeroed; it returns the batch's loss tensor and a
-    record. ``summarize`` turns the epoch's records into the loss columns of
-    its log row. A ``NumericalError`` from ``step`` restores the last
-    completed epoch's parameters, logs one ``diverged=1`` row of NaNs and
-    stops. The rows (``fields`` in order) go to ``log_path`` as CSV.
+    ``(cfg.seed, stream, epoch)`` and calls ``step(epoch, batch, idx)`` on
+    each batch, ``idx`` being its rows of ``train_set``, with the gradients
+    zeroed; it returns the batch's loss tensor and a record. ``summarize``
+    turns the epoch's records into the loss columns of its log row. A
+    ``NumericalError`` from ``step`` restores the last completed epoch's
+    parameters, logs one ``diverged=1`` row of NaNs and stops. The rows
+    (``fields`` in order) go to ``log_path`` as CSV.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -177,7 +182,8 @@ def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, cfg: Pip
                     # ``loss`` keeps this batch's graph alive until the next one is built.
                     # Freed earlier, its memory goes back to the OS and the next batch
                     # faults it in again: ten times the page faults of the teacher stage.
-                    loss, record = step(epoch, train_set[perm[start : start + cfg.batch_size]])
+                    idx = perm[start : start + cfg.batch_size]
+                    loss, record = step(epoch, train_set[idx], idx)
                     records.append(record)
         except NumericalError:
             restore(params, last_good)
@@ -218,7 +224,7 @@ def train_ranking(
     opt = AdaMax(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     sparse = sparsify and cfg.lam > 0
 
-    def step(epoch, batch):
+    def step(epoch, batch, idx):
         labels = batch["label"]
         ref = capture_signs(params) if sparse and epoch >= cfg.epochs // 2 else None
         probs = predict_batch(spec, params, batch)

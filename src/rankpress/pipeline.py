@@ -44,8 +44,11 @@ class PipelineConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ConfigError(f"levels must be at least 2, got {self.levels}")
+        # above the ladder's top the uniform quantizer would have one bin and write NaN patches
+        if not 2 <= self.levels <= synthdata.MAX_LEVEL:
+            raise ConfigError(
+                f"levels must be from 2 to {synthdata.MAX_LEVEL}, got {self.levels}"
+            )
         for key in ("train_sources", "val_sources", "eval_sources", "pairs_per_source",
                     "batch_size"):
             if getattr(self, key) < 1:
@@ -108,6 +111,10 @@ def _ensure_outdir(outdir) -> Path:
 
 
 def gen_data(cfg: PipelineConfig, outdir) -> dict[str, Path]:
+    build_spec(cfg)  # data the configured network cannot take is refused before it is made
+    if cfg.patch < synthdata.MIN_SOURCE_EXTENT:
+        raise ConfigError(f"patch must be at least {synthdata.MIN_SOURCE_EXTENT} "
+                          f"to generate sources, got {cfg.patch}")
     outdir = _ensure_outdir(outdir)
     geometry = (cfg.channels, cfg.patch, cfg.patch)
     train_sources = synthdata.generate_sources(cfg.train_sources, geometry, seed=cfg.seed)
@@ -244,22 +251,17 @@ def distill(cfg: PipelineConfig, datadir, teacher_ckpt, student_ckpt, outdir,
 def eval_datasets_from_file(eval_path) -> dict[str, np.ndarray]:
     """The eval records as "all" plus one subset per distortion kind present."""
     items = synthdata.read_eval_dataset(eval_path)
-    datasets = {"all": items}
-    for k, kind in enumerate(synthdata.KINDS):
-        subset = items[items["kind"] == k]
-        if len(subset):
-            datasets[kind] = subset
-    return datasets
+    return {name: items[rows] for name, rows in synthdata.eval_subsets(items).items()}
 
 
 def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir) -> str:
     outdir = _ensure_outdir(outdir)
-    datasets = eval_datasets_from_file(eval_path)
+    items = synthdata.read_eval_dataset(eval_path)
     reports = []
     for path in ckpt_paths:
         spec, params, _ = ckpt.load_checkpoint(path)
-        _check_geometry(datasets["all"], spec, eval_path)
-        reports.append(stats.evaluate_model(spec, params, datasets, name=Path(path).stem))
+        _check_geometry(items, spec, eval_path)
+        reports.append(stats.evaluate_model(spec, params, items, name=Path(path).stem))
     lines = []
     for report in reports:
         lines.append(f"model {report.name}: params={report.params_total} "

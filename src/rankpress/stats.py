@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import NetworkSpec, ParameterSet, count_flops, count_params, score_batch
+from .synthdata import eval_subsets
 
 
 class StatsError(ValueError):
@@ -286,22 +287,24 @@ def predict_scores(spec: NetworkSpec, params: ParameterSet, items: np.ndarray,
 def evaluate_model(
     spec: NetworkSpec,
     params: ParameterSet,
-    datasets: dict[str, np.ndarray],
+    items: np.ndarray,
     name: str = "model",
     predictor=None,
 ) -> EvalReport:
-    """Score every dataset; ``predictor`` overrides the network forward pass
-    (used to sanity-check the harness against known-perfect predictions)."""
-    if not datasets or any(len(items) == 0 for items in datasets.values()):
-        raise StatsError("evaluate_model requires non-empty datasets")
+    """Score ``items`` once and evaluate "all" and each kind subset of them;
+    ``predictor`` overrides the network forward pass (used to sanity-check the
+    harness against known-perfect predictions)."""
+    if len(items) == 0:
+        raise StatsError("evaluate_model requires a non-empty eval set")
+    if predictor is None:
+        preds = predict_scores(spec, params, items)
+    else:
+        preds = np.asarray(predictor(items), dtype=np.float64)
+    truth = items["mos"].astype(np.float64)
     results = {}
-    for ds_name, items in datasets.items():
-        if predictor is None:
-            preds = predict_scores(spec, params, items)
-        else:
-            preds = np.asarray(predictor(items), dtype=np.float64)
-        truth = items["mos"].astype(np.float64)
-        results[ds_name] = DatasetEval(srocc(preds, truth), logistic_fit(preds, truth))
+    for ds_name, rows in eval_subsets(items).items():
+        results[ds_name] = DatasetEval(srocc(preds[rows], truth[rows]),
+                                       logistic_fit(preds[rows], truth[rows]))
     return EvalReport(
         name=name,
         params_total=count_params(params),

@@ -27,6 +27,9 @@ PAIR_MAGIC = b"RPDS"
 EVAL_MAGIC = b"RPEV"
 FORMAT_VERSION = 1
 
+MIN_SOURCE_EXTENT = 4  # the smallest source height and width ``generate_sources`` makes
+MAX_LEVEL = 6  # the top of the severity ladder: the quantizer keeps 2 bins there
+
 
 class DataFormatError(ValueError):
     """Bad container magic or version, a truncated file, or an out-of-range kind."""
@@ -105,7 +108,7 @@ def generate_sources(n: int, geometry: tuple[int, int, int], seed: int) -> list[
     if n < 1:
         raise ValueError("need n >= 1 source patches")
     c, h, w = geometry
-    if c < 1 or h < 4 or w < 4:
+    if c < 1 or h < MIN_SOURCE_EXTENT or w < MIN_SOURCE_EXTENT:
         raise ValueError(f"degenerate geometry {geometry}")
     out = []
     for i in range(n):
@@ -140,7 +143,7 @@ def apply_distortion(patch: np.ndarray, spec: DistortionSpec, seed: int) -> np.n
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1, level)))
         out = out + rng.standard_normal(out.shape) * 0.05 * level
     elif spec.kind == "uniform-quantization":
-        q = 2 ** (7 - level)  # levels 1..6 -> 64, 32, 16, 8, 4, 2 bins
+        q = 2 ** (MAX_LEVEL + 1 - level)  # levels 1..6 -> 64, 32, 16, 8, 4, 2 bins
         out = np.round(out * (q - 1)) / (q - 1)
     elif spec.kind == "downsample-upsample":
         out = np.stack([_down_up(pl, factor=1 + level) for pl in out])
@@ -205,6 +208,16 @@ def make_eval_dataset(sources: list[np.ndarray], levels: int, seed: int) -> np.n
                 items[idx] = (src, dist, ki, level, pseudo_mos(level, levels, rng))
                 idx += 1
     return items
+
+
+def eval_subsets(items: np.ndarray) -> dict[str, np.ndarray]:
+    """Row indices of the ``eval_dtype`` records: "all", then each kind present."""
+    subsets = {"all": np.arange(len(items))}
+    for k, kind in enumerate(KINDS):
+        rows = np.flatnonzero(items["kind"] == k)
+        if len(rows):
+            subsets[kind] = rows
+    return subsets
 
 
 # ---------------------------------------------------------------------------

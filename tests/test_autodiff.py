@@ -246,3 +246,99 @@ def test_op_gradients_beside_a_constant_operand(case):
     err = ad.gradient_check(lambda: ad.tsum(ad.mul(op(params), weight)), params, n_coords=40)
     assert err < 1e-6
     assert weight.grad is None
+
+
+def _naive_conv2d(x, k, b, stride, padding):
+    """Direct float64 loops over every output position, tap and channel."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    out = np.empty((n, c_out, h_out, w_out))
+    for m in range(n):
+        for o in range(c_out):
+            for y in range(h_out):
+                for z in range(w_out):
+                    patch = xp[m, :, y * stride : y * stride + kh, z * stride : z * stride + kw]
+                    out[m, o, y, z] = np.sum(patch * k[o]) + b[o]
+    return out
+
+
+def _naive_conv2d_grads(x, k, g, stride, padding):
+    """d sum(g * conv2d(x, k)) / dx and / dk by the same loops, scattering and gathering."""
+    _, _, h, w = x.shape
+    _, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp, gk = np.zeros_like(xp), np.zeros_like(k)
+    n, c_out, h_out, w_out = g.shape
+    for m in range(n):
+        for o in range(c_out):
+            for y in range(h_out):
+                for z in range(w_out):
+                    rows = np.s_[y * stride : y * stride + kh]
+                    cols = np.s_[z * stride : z * stride + kw]
+                    gxp[m, :, rows, cols] += g[m, o, y, z] * k[o]
+                    gk[o] += g[m, o, y, z] * xp[m, :, rows, cols]
+    return gxp[:, :, padding : padding + h, padding : padding + w], gk
+
+
+# (input shape, kernel, stride, padding): every kernel of 1, 3 and 5 at padding 0, 1 and 2
+# and stride 1 and 2 on a non-square input, plus kernels as large as the padded input
+CONV_CASES = [((2, 3, 7, 5), kernel, stride, padding)
+              for kernel in (1, 3, 5) for stride in (1, 2) for padding in (0, 1, 2)]
+CONV_CASES += [((1, 2, 3, 3), 5, 1, 1), ((2, 2, 5, 3), 5, 2, 1), ((1, 3, 4, 6), 4, 1, 0)]
+
+
+@pytest.mark.parametrize("shape, kernel, stride, padding", CONV_CASES)
+def test_conv2d_matches_naive_loop(shape, kernel, stride, padding):
+    rng = np.random.default_rng(12)
+    x = t(rng.standard_normal(shape), grad=True)
+    k = t(rng.standard_normal((4, shape[1], kernel, kernel)), grad=True)
+    b = t(rng.standard_normal(4), grad=True)
+    out = ad.conv2d(x, k, b, stride=stride, padding=padding)
+    expected = _naive_conv2d(x.data, k.data, b.data, stride, padding)
+    assert out.data.shape == expected.shape
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    g = rng.standard_normal(expected.shape)
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    gx, gk = _naive_conv2d_grads(x.data, k.data, g, stride, padding)
+    np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(k.grad, gk, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 7, 5), (1, 2, 5, 9), (2, 1, 4, 6)])
+def test_avg_pool2_matches_reshape_mean(shape, dtype):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    out = ad.avg_pool2(x)
+    n, c, h, w = shape
+    h2, w2 = h // 2, w // 2
+    mean = x.data[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2).mean(axis=(3, 5))
+    assert out.data.dtype == dtype
+    # four rounded additions on each side, each off by at most eps/2 of a partial sum
+    bound = 4 * np.finfo(dtype).eps * np.abs(x.data).max()
+    np.testing.assert_allclose(out.data, mean, rtol=0, atol=bound)
+    g = rng.standard_normal(mean.shape).astype(dtype)
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    expected = np.zeros(shape, dtype=dtype)  # the trailing odd row and column get nothing
+    expected[:, :, : 2 * h2, : 2 * w2] = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4
+    assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_bit_identical_to_where(dtype):
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, np.finfo(dtype).tiny,
+               -np.finfo(dtype).tiny, np.finfo(dtype).smallest_subnormal,
+               -np.finfo(dtype).smallest_subnormal, np.finfo(dtype).max, -np.finfo(dtype).max]
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        np.random.default_rng(14).standard_normal(200).astype(dtype) * 10])
+    a = Tensor(x, requires_grad=True)
+    out = ad.leaky_relu(a)
+    assert out.data.tobytes() == np.where(x > 0, x, 0.01 * x).tobytes()
+    g = np.random.default_rng(15).standard_normal(x.shape).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # the loss sums inf and -inf
+        ad.backward(ad.tsum(ad.mul(out, g)))
+    assert a.grad.tobytes() == (g * np.where(x > 0, 1.0, 0.01).astype(dtype)).tobytes()

@@ -1,0 +1,39 @@
+"""Smoke test of ``bench/record.py`` at a tiny geometry with one repetition."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "record.py"
+TINY = {"patch": "12", "train_sources": "2", "pairs_per_source": "2", "val_sources": "1",
+        "val_pairs_per_source": "2", "eval_sources": "1"}
+
+
+def _recorder():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_record_writes_every_section(tmp_path):
+    out = _recorder().record("smoke", 1, tmp_path, TINY)
+    assert out == tmp_path / "BENCH_smoke.json"
+    result = json.loads(out.read_text())
+    assert result["label"] == "smoke" and result["config"]["epochs"] == 2
+    assert result["config"]["lam"] == 1.0 and result["config"]["patch"] == 12
+    for key in ("nproc", "numpy", "blas", "blas_threads", "git_sha"):
+        assert key in result["machine"]
+    names = {"teacher": ["conv1", "conv2", "conv3", "fc1", "fc2"],
+             "student": ["conv1", "conv2", "conv3", "fc1", "fc2"]}
+    assert result["nets"]["student"]["conv_widths"] == [4, 6, 20]
+    for net, layers in names.items():
+        for batch in ("8", "16"):
+            rows = result["layers"][net][batch]
+            assert list(rows) == layers
+            assert all(r["forward_ms"] > 0 and r["backward_ms"] > 0 for r in rows.values())
+    seconds = result["stages"]["seconds"]
+    assert list(seconds) == ["gen_data", "train_teacher", "sparsify", "prune", "distill",
+                             "eval", "total"]
+    assert seconds["total"] == sum(v for k, v in seconds.items() if k != "total")
+    assert float(result["stages"]["ratio"]["params_ratio"]) <= 1.0

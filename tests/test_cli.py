@@ -141,6 +141,14 @@ BAD_CONFIG_VALUES = {
     "one-level": ("levels", ["gen-data", "--set", "levels=1"]),
     "no-train-sources": ("train_sources", ["gen-data", "--set", "train_sources=0"]),
     "zero-batch-size": ("batch_size", ["train-teacher", "--data", "{data}", "--set", "batch_size=0"]),
+    # gen-data refuses a geometry the configured network cannot take or too small for sources
+    "zero-patch": ("patch", ["gen-data", "--set", "patch=0"]),
+    "no-channels": ("channels", ["gen-data", "--set", "channels=0"]),
+    "patch-below-the-conv-stack": ("patch too small", ["gen-data", "--set", "conv_widths=4,8,16",
+                                                       "--set", "patch=7"]),
+    "patch-below-the-source-generator": ("patch must be at least 4",
+                                         ["gen-data", "--set", "patch=3"]),
+    "seven-levels": ("levels", ["gen-data", "--set", "levels=7"]),
 }
 
 
@@ -154,6 +162,7 @@ class TestExitCodes:
         assert run(argv[:1] + _sets() + argv[1:] + ["--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+        assert not (tmp_path / "o").exists()
 
     def test_too_few_eval_items_per_kind_is_data_error(self, artifacts, tmp_path):
         base, d = artifacts

@@ -177,3 +177,24 @@ class TestDistillTrain:
         probs = teacher_probabilities(t_spec, t_params, train[:8])
         direct = predict_batch(t_spec, t_params, train[:8]).data
         assert np.array_equal(probs, direct)
+
+    def test_teacher_forwarded_once_per_stage(self, distill_setup, monkeypatch):
+        import rankpress.distill as kd
+
+        small, (t_spec, t_params), train, _ = distill_setup
+        forwarded = []
+
+        def counting(spec, params, pairs):
+            forwarded.append(len(pairs))
+            return teacher_probabilities(spec, params, pairs)
+
+        monkeypatch.setattr(kd, "teacher_probabilities", counting)
+        s_spec, s_params = build_teacher(small)
+        distill_train(t_spec, t_params, s_spec, s_params, train, PipelineConfig(epochs=2, seed=0))
+        assert forwarded == [len(train)]
+
+    def test_empty_train_set_is_refused_by_the_epoch_loop(self, distill_setup):
+        small, (t_spec, t_params), train, _ = distill_setup
+        s_spec, s_params = build_teacher(small)
+        with pytest.raises(ValueError, match="empty training set"):
+            distill_train(t_spec, t_params, s_spec, s_params, train[:0], PipelineConfig(seed=0))

@@ -19,7 +19,7 @@ from rankpress.stats import (
     logistic_fit,
     srocc,
 )
-from rankpress.synthdata import generate_sources, make_eval_dataset
+from rankpress.synthdata import KINDS, generate_sources, make_eval_dataset
 
 
 class TestRanks:
@@ -178,40 +178,52 @@ def eval_setup():
     spec_params = build_teacher(cfg)
     sources = generate_sources(4, (1, 12, 12), seed=2)
     items = make_eval_dataset(sources, levels=6, seed=2)
-    return spec_params, {"all": items}
+    return spec_params, items
 
 
 class TestEvaluate:
     def test_oracle_predictor_gets_srocc_one(self, eval_setup):
-        (spec, params), datasets = eval_setup
-        report = evaluate_model(spec, params, datasets,
-                                predictor=lambda items: items["mos"])
+        (spec, params), items = eval_setup
+        report = evaluate_model(spec, params, items,
+                                predictor=lambda rows: rows["mos"])
         assert report.datasets["all"].srocc == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_oracle_gets_minus_one(self, eval_setup):
-        (spec, params), datasets = eval_setup
-        report = evaluate_model(spec, params, datasets,
-                                predictor=lambda items: -items["mos"])
+        (spec, params), items = eval_setup
+        report = evaluate_model(spec, params, items,
+                                predictor=lambda rows: -rows["mos"])
         assert report.datasets["all"].srocc == pytest.approx(-1.0, abs=1e-12)
 
     def test_deterministic_reruns(self, eval_setup):
-        (spec, params), datasets = eval_setup
-        r1 = evaluate_model(spec, params, datasets)
-        r2 = evaluate_model(spec, params, datasets)
+        (spec, params), items = eval_setup
+        r1 = evaluate_model(spec, params, items)
+        r2 = evaluate_model(spec, params, items)
         assert r1.datasets["all"].srocc == r2.datasets["all"].srocc
         assert np.array_equal(r1.datasets["all"].fit.residuals, r2.datasets["all"].fit.residuals)
 
+    def test_items_scored_once_and_subsets_indexed(self, eval_setup):
+        (spec, params), items = eval_setup
+        scored = []
+        report = evaluate_model(spec, params, items,
+                                predictor=lambda rows: scored.append(len(rows)) or rows["level"])
+        assert scored == [len(items)]
+        assert set(report.datasets) == {"all", *KINDS}
+        for k, kind in enumerate(KINDS):
+            subset = items[items["kind"] == k]
+            expected = srocc(subset["level"].astype(np.float64), subset["mos"].astype(np.float64))
+            assert report.datasets[kind].srocc == expected
+
     def test_empty_dataset_rejected(self, eval_setup):
-        (spec, params), _ = eval_setup
+        (spec, params), items = eval_setup
         with pytest.raises(StatsError):
-            evaluate_model(spec, params, {"empty": []})
+            evaluate_model(spec, params, items[:0])
 
     def test_comparison_ratios(self, eval_setup):
-        (spec, params), datasets = eval_setup
+        (spec, params), items = eval_setup
         small_cfg = PipelineConfig(channels=1, patch=12, conv_widths=(2,), dense_widths=(4,), seed=1)
         small = build_teacher(small_cfg)
-        ref = evaluate_model(spec, params, datasets)
-        cand = evaluate_model(small[0], small[1], datasets)
+        ref = evaluate_model(spec, params, items)
+        cand = evaluate_model(small[0], small[1], items)
         cmp = compare_models(cand, ref)
         assert cmp.params_ratio == pytest.approx(cand.params_total / ref.params_total, abs=1e-12)
         assert cmp.flops_ratio == pytest.approx(cand.flops / ref.flops, abs=1e-12)
