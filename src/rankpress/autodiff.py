@@ -4,11 +4,12 @@ Define-by-run: every operation builds its output through ``_node``, which
 records the inputs and one gradient rule (vjp) per input. Calling
 :func:`backward` on a scalar output replays the recorded tape in reverse
 topological order and accumulates gradients into every tensor created with
-``requires_grad=True``.
+``requires_grad=True``. Inside :func:`no_grad` no tape is recorded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +19,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "backward",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _counter = itertools.count()
+_recording = True  # False inside ``no_grad``
 
 
 class ShapeError(ValueError):
@@ -162,11 +165,29 @@ def backward(loss: Tensor):
             node._backward(node.grad)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run a forward-only pass: every op output inside is a leaf without a backward rule.
+
+    No gradient flows from such an output back to its inputs, and no op keeps
+    its inputs alive for a backward pass. Leaving restores the previous mode.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data, parents: tuple[Tensor, ...], vjps: tuple[Callable, ...]) -> Tensor:
     """The output of an op: ``vjps[i](g)`` is the gradient that reaches ``parents[i]``.
 
-    Backward runs a vjp only for a parent that requires a gradient.
+    Backward runs a vjp only for a parent that requires a gradient. Inside
+    :func:`no_grad` the output is a leaf that keeps neither.
     """
+    if not _recording:
+        return Tensor(data)
 
     def bw(g):
         for parent, vjp in zip(parents, vjps):
@@ -270,9 +291,12 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation over NCHW input with an OIHW kernel.
 
-    One matmul per kernel tap, taps in row-major order: tap (i, j) multiplies
-    the (O, C) slice of the kernel into the (N, C, H_out*W_out) input window
-    it sees, and the taps' products are summed in that order.
+    One GEMM per layer over tap-major im2col columns: row ``t*C + c`` of the
+    (N, kh*kw*C, H_out*W_out) columns holds channel c as kernel tap t sees it,
+    taps in row-major order. The kernel, laid out as (O, kh*kw*C) in the same
+    order, multiplies them into the NCHW output directly. With the taps
+    outermost, rather than the channels, each input gradient element is
+    summed over the taps in the order of a per-tap loop.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -290,32 +314,34 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
 
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad) if padding else x.data
+    inner = np.s_[:, :, padding : padding + h, padding : padding + w]
+    xp = x.data
+    if padding:
+        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+        xp[inner] = x.data
     # the rows and columns of the padded input that tap (i, j) sees at every output position
     spans = [(np.s_[i : i + stride * h_out : stride], np.s_[j : j + stride * w_out : stride])
              for i in range(kh) for j in range(kw)]
-    k_taps = [kernel.data[:, :, i, j] for i in range(kh) for j in range(kw)]  # (O, C) each
-    out_data = np.zeros((n, c_out, h_out * w_out), dtype=x.data.dtype)
-    for k_tap, (rows, cols) in zip(k_taps, spans):
-        out_data += k_tap @ xp[:, :, rows, cols].reshape(n, c_in, h_out * w_out)
-    out_data = out_data.reshape(n, c_out, h_out, w_out) + bias.data.reshape(1, -1, 1, 1)
+    cols = np.empty((n, kh * kw, c_in, h_out, w_out), dtype=x.data.dtype)
+    for tap, (rows, columns) in enumerate(spans):
+        cols[:, tap] = xp[:, :, rows, columns]
+    cols = cols.reshape(n, kh * kw * c_in, h_out * w_out)
+    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+    out_data = (kmat @ cols).reshape(n, c_out, h_out, w_out) + bias.data.reshape(1, -1, 1, 1)
+    padded_shape = xp.shape  # the closures keep ``cols``, not the padded input
 
     def grad_x(g):
-        g = g.reshape(n, c_out, h_out * w_out)
-        gxp = np.zeros_like(xp)
-        for k_tap, (rows, cols) in zip(k_taps, spans):
-            gxp[:, :, rows, cols] += (k_tap.T @ g).reshape(n, c_in, h_out, w_out)
-        return gxp[:, :, padding : padding + h, padding : padding + w]
+        g_cols = (kmat.T @ g.reshape(n, c_out, h_out * w_out)).reshape(
+            n, kh * kw, c_in, h_out, w_out)
+        gxp = np.zeros(padded_shape, dtype=g_cols.dtype)
+        for tap, (rows, columns) in enumerate(spans):
+            gxp[:, :, rows, columns] += g_cols[:, tap]
+        return gxp[inner]
 
     def grad_kernel(g):
-        # tensordot(g, window, ((0, 2), (0, 2))) per tap, written as the same dot: g is
-        # laid out as its (O, N*H_out*W_out) operand once, and each window is gathered as
-        # its (N*H_out*W_out, C) operand from one channels-last copy of the padded input
-        g_rows = g.reshape(n, c_out, h_out * w_out).transpose(1, 0, 2).reshape(c_out, -1)
-        xp_last = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
-        taps = [g_rows @ xp_last[:, rows, cols].reshape(-1, c_in) for rows, cols in spans]
-        return np.stack(taps, axis=-1).reshape(c_out, c_in, kh, kw)
+        # a transposed view: a transposed copy of ``cols`` costs more than the GEMM saves
+        gk = (g.reshape(n, c_out, h_out * w_out) @ cols.transpose(0, 2, 1)).sum(axis=0)
+        return np.ascontiguousarray(gk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
 
     return _node(out_data, (x, kernel, bias),
                  (grad_x, grad_kernel, lambda g: g.sum(axis=(0, 2, 3))))

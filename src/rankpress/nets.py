@@ -22,6 +22,10 @@ if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
 
+# records per forward of a forward-only pass (scoring, accuracy, teacher probabilities)
+PREDICT_ROWS = 64
+
+
 class ConfigError(ValueError):
     """Invalid network or pipeline configuration."""
 
@@ -218,7 +222,8 @@ def sequence_quality(
         raise ValueError("no patches sampled from sequence")
     refs = np.stack([np.asarray(r) for r, _ in pairs])
     dists = np.stack([np.asarray(d) for _, d in pairs])
-    return float(score_batch(spec, params, refs, dists).data.mean())
+    with ad.no_grad():
+        return float(score_batch(spec, params, refs, dists).data.mean())
 
 
 def count_params(params: ParameterSet, nonzero_only: bool = False) -> int:

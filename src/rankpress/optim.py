@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .nets import NetworkSpec, ParameterSet, score_batch
+from .nets import PREDICT_ROWS, NetworkSpec, ParameterSet, score_batch
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -118,19 +118,19 @@ def predict_batch(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) ->
     return ad.sigmoid(s1 - s2)
 
 
-def predict_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray,
-                          batch_size: int = 64) -> np.ndarray:
-    """``predict_batch`` over ``pairs``, ``batch_size`` at a time, as a plain array."""
-    probs = [predict_batch(spec, params, pairs[start : start + batch_size]).data
-             for start in range(0, len(pairs), batch_size)]
+def predict_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray) -> np.ndarray:
+    """``predict_batch`` over ``pairs``, ``PREDICT_ROWS`` at a time and without a
+    backward graph, as a plain array."""
+    with ad.no_grad():
+        probs = [predict_batch(spec, params, pairs[start : start + PREDICT_ROWS]).data
+                 for start in range(0, len(pairs), PREDICT_ROWS)]
     return np.concatenate(probs) if probs else np.empty(0)
 
 
-def pair_accuracy(spec: NetworkSpec, params: ParameterSet, dataset: np.ndarray,
-                  batch_size: int = 64) -> float:
+def pair_accuracy(spec: NetworkSpec, params: ParameterSet, dataset: np.ndarray) -> float:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    probs = predict_probabilities(spec, params, dataset, batch_size)
+    probs = predict_probabilities(spec, params, dataset)
     return float(np.mean((probs > 0.5) == (dataset["label"] == 1)))
 
 

@@ -7,6 +7,7 @@ checkpoints are immutable and each stage writes new files.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -50,9 +51,21 @@ class PipelineConfig:
                 f"levels must be from 2 to {synthdata.MAX_LEVEL}, got {self.levels}"
             )
         for key in ("train_sources", "val_sources", "eval_sources", "pairs_per_source",
-                    "batch_size"):
+                    "batch_size", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        for key in ("lam", "alpha"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be non-negative and finite, got {value}")
+        # padding kernel // 2 keeps the map's size only for an odd kernel
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError(f"kernel must be a positive odd number, got {self.kernel}")
 
 
 def _parse_value(key: str, raw, kind, where: str):
@@ -153,6 +166,8 @@ def _load_pair_data(datadir, *specs):
     """The train and val pairs, checked against the geometry of each spec."""
     datadir = Path(datadir)
     train = synthdata.read_dataset(datadir / "train.rpds")
+    if len(train) == 0:
+        raise synthdata.DataFormatError(f"{datadir / 'train.rpds'}: no training pairs")
     val = synthdata.read_dataset(datadir / "val.rpds")
     for spec in specs:
         _check_geometry(train, spec, datadir / "train.rpds")

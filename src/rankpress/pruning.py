@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .nets import ConfigError, NetworkSpec, ParameterSet
 
 
@@ -190,7 +190,8 @@ def validate_structure(spec: NetworkSpec, params: ParameterSet) -> list[str]:
         c = spec.in_channels // 2
         zero = np.zeros((1, c, spec.height, spec.width), dtype=np.float32)
         try:
-            score_batch(spec, params, zero, zero)
+            with no_grad():
+                score_batch(spec, params, zero, zero)
         except Exception as exc:  # dry run must never abort validation
             violations.append(f"dry-run forward failed: {exc}")
     return violations

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import NetworkSpec, ParameterSet, count_flops, count_params, score_batch
+from .autodiff import no_grad
+from .nets import PREDICT_ROWS, NetworkSpec, ParameterSet, count_flops, count_params, score_batch
 from .synthdata import eval_subsets
 
 
@@ -274,13 +275,15 @@ class EvalReport:
     datasets: dict[str, DatasetEval]
 
 
-def predict_scores(spec: NetworkSpec, params: ParameterSet, items: np.ndarray,
-                   batch_size: int = 64) -> np.ndarray:
-    """Quality scores of ``eval_dtype`` records."""
+def predict_scores(spec: NetworkSpec, params: ParameterSet, items: np.ndarray) -> np.ndarray:
+    """Quality scores of ``eval_dtype`` records, ``PREDICT_ROWS`` at a time and
+    without a backward graph."""
     preds = []
-    for start in range(0, len(items), batch_size):
-        chunk = items[start : start + batch_size]
-        preds.append(score_batch(spec, params, chunk["ref"], chunk["dist"]).data.astype(np.float64))
+    with no_grad():
+        for start in range(0, len(items), PREDICT_ROWS):
+            chunk = items[start : start + PREDICT_ROWS]
+            preds.append(score_batch(spec, params, chunk["ref"], chunk["dist"]).data
+                         .astype(np.float64))
     return np.concatenate(preds)
 
 

@@ -300,6 +300,10 @@ def test_conv2d_matches_naive_loop(shape, kernel, stride, padding):
     expected = _naive_conv2d(x.data, k.data, b.data, stride, padding)
     assert out.data.shape == expected.shape
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    with ad.no_grad():
+        leaf = ad.conv2d(x, k, b, stride=stride, padding=padding)
+    assert leaf.data.tobytes() == out.data.tobytes()
+    assert not leaf._parents and leaf._backward is None and not leaf.requires_grad
     g = rng.standard_normal(expected.shape)
     ad.backward(ad.tsum(ad.mul(out, g)))
     gx, gk = _naive_conv2d_grads(x.data, k.data, g, stride, padding)
@@ -342,3 +346,24 @@ def test_leaky_relu_bit_identical_to_where(dtype):
     with np.errstate(over="ignore", invalid="ignore"):  # the loss sums inf and -inf
         ad.backward(ad.tsum(ad.mul(out, g)))
     assert a.grad.tobytes() == (g * np.where(x > 0, 1.0, 0.01).astype(dtype)).tobytes()
+
+
+def test_no_grad_nests_and_restores_the_mode_after_an_exception():
+    a = t([1.0, 2.0], grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            inner = ad.mul(a, a)
+        outer = ad.mul(a, a)  # leaving the inner context keeps the outer one's mode
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        after_raise = ad.mul(a, a)
+    for out in (inner, outer, after_raise):
+        assert not out._parents and out._backward is None and not out.requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    loss = ad.tsum(ad.mul(a, a))
+    assert loss.requires_grad
+    ad.backward(loss)
+    assert np.array_equal(a.grad, [2.0, 4.0])

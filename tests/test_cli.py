@@ -149,6 +149,14 @@ BAD_CONFIG_VALUES = {
     "patch-below-the-source-generator": ("patch must be at least 4",
                                          ["gen-data", "--set", "patch=3"]),
     "seven-levels": ("levels", ["gen-data", "--set", "levels=7"]),
+    "zero-epochs": ("epochs", ["gen-data", "--set", "epochs=0"]),
+    "negative-lr": ("lr", ["gen-data", "--set", "lr=-1"]),
+    "infinite-lr": ("lr", ["gen-data", "--set", "lr=inf"]),
+    "beta1-above-one": ("beta1", ["gen-data", "--set", "beta1=2"]),
+    "beta2-of-one": ("beta2", ["gen-data", "--set", "beta2=1"]),
+    "even-kernel": ("kernel", ["gen-data", "--set", "kernel=4"]),
+    "negative-lam": ("lam", ["gen-data", "--set", "lam=-1"]),
+    "nan-alpha": ("alpha", ["gen-data", "--set", "alpha=nan"]),
 }
 
 
@@ -197,6 +205,25 @@ class TestExitCodes:
         (data / "train.rpds").write_bytes(bytes(blob))
         code = run(["train-teacher", "--data", str(data), "--out", str(tmp_path / "o")] + _sets())
         assert code == 2
+
+    @pytest.mark.parametrize("stage", ["train-teacher", "sparsify", "distill"])
+    def test_empty_train_set_is_data_error(self, stage, artifacts, tmp_path, capsys):
+        base, d = artifacts
+        import shutil
+
+        from rankpress.synthdata import read_dataset, write_dataset
+
+        data = tmp_path / "data"
+        shutil.copytree(d["data"], data)
+        write_dataset(data / "train.rpds", read_dataset(data / "train.rpds")[:0])
+        ckpts = {"train-teacher": [],
+                 "sparsify": ["--teacher", d["teacher"] + "/teacher.ckpt"],
+                 "distill": ["--teacher", d["teacher"] + "/teacher.ckpt",
+                             "--student", d["pruned"] + "/student.ckpt"]}
+        code = run([stage, "--data", str(data), "--out", str(tmp_path / "o")] + ckpts[stage]
+                   + _sets())
+        assert code == 2
+        assert "train.rpds" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_data_error(self, artifacts, tmp_path):
         base, d = artifacts

@@ -178,6 +178,21 @@ class TestDistillTrain:
         direct = predict_batch(t_spec, t_params, train[:8]).data
         assert np.array_equal(probs, direct)
 
+    def test_forward_only_passes_build_no_graph(self, distill_setup, monkeypatch):
+        import rankpress.nets as nets
+
+        small, (t_spec, t_params), train, val = distill_setup
+        forward, outputs = nets.forward_features, []
+        monkeypatch.setattr(nets, "forward_features",
+                            lambda *args: outputs.append(forward(*args)) or outputs[-1])
+        for p in t_params.values():
+            p.zero_grad()
+        teacher_probabilities(t_spec, t_params, train)
+        pair_accuracy(t_spec, t_params, val)
+        assert all(p.requires_grad and p.grad is None for p in t_params.values())
+        assert len(outputs) == 4  # two forwards per chunk of pairs, one chunk each
+        assert all(not out._parents and out._backward is None for out in outputs)
+
     def test_teacher_forwarded_once_per_stage(self, distill_setup, monkeypatch):
         import rankpress.distill as kd
 

@@ -5,7 +5,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankpress.nets import build_teacher
+from rankpress.nets import PREDICT_ROWS, build_teacher
 from rankpress.pipeline import PipelineConfig
 from rankpress.stats import (
     StatsError,
@@ -17,6 +17,7 @@ from rankpress.stats import (
     f_test,
     format_comparison,
     logistic_fit,
+    predict_scores,
     srocc,
 )
 from rankpress.synthdata import KINDS, generate_sources, make_eval_dataset
@@ -212,6 +213,18 @@ class TestEvaluate:
             subset = items[items["kind"] == k]
             expected = srocc(subset["level"].astype(np.float64), subset["mos"].astype(np.float64))
             assert report.datasets[kind].srocc == expected
+
+    def test_scoring_builds_no_graph(self, eval_setup, monkeypatch):
+        import rankpress.nets as nets
+
+        (spec, params), items = eval_setup
+        forward, outputs = nets.forward_features, []
+        monkeypatch.setattr(nets, "forward_features",
+                            lambda *args: outputs.append(forward(*args)) or outputs[-1])
+        predict_scores(spec, params, items)
+        assert all(p.requires_grad and p.grad is None for p in params.values())
+        assert len(outputs) == -(-len(items) // PREDICT_ROWS)
+        assert all(not out._parents and out._backward is None for out in outputs)
 
     def test_empty_dataset_rejected(self, eval_setup):
         (spec, params), items = eval_setup
