@@ -5,9 +5,11 @@
 Run from a checkout: the program is imported from the ``src/`` beside this
 script. The file holds
 
-- ``layers``: the median forward and backward milliseconds of each layer
-  (conv1 ... fcN) of the configured teacher and of a fixed student (conv
-  widths 4/6/20, dense width 20), at batch 8 and 16. A layer's time covers
+- ``layers``: the forward and backward milliseconds of each layer (conv1
+  ... fcN) of the configured teacher and of a fixed student (conv widths
+  4/6/20, dense width 20), at batch 8 and 16: the median over the reps
+  (``forward_ms``, ``backward_ms``) and the 25th and 75th percentiles
+  (``forward_ms_p25``, ``forward_ms_p75`` and so on). A layer's time covers
   ``nets.layer_forward``, the op chain the forward pass runs for it; its
   backward starts from the sum of its output, and its input needs a gradient
   unless it is the first layer;
@@ -31,7 +33,6 @@ import argparse
 import dataclasses
 import json
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -76,7 +77,8 @@ def machine() -> dict:
 
 def time_layers(spec: nets.NetworkSpec, params: nets.ParameterSet, batch: int,
                 reps: int) -> dict:
-    """Median forward and backward ms of each layer on the activations of a random batch."""
+    """Forward and backward ms of each layer on the activations of a random batch:
+    the median and the quartiles over ``reps``."""
     rng = np.random.default_rng(0)
     c = spec.in_channels // 2
     ref = rng.random((batch, c, spec.height, spec.width), dtype=np.float32)
@@ -96,8 +98,11 @@ def time_layers(spec: nets.NetworkSpec, params: nets.ParameterSet, batch: int,
             t2 = time.perf_counter()
             forward.append(t1 - t0)
             backward.append(t2 - t1)
-        rows[layer.name] = {"forward_ms": 1e3 * statistics.median(forward),
-                            "backward_ms": 1e3 * statistics.median(backward)}
+        rows[layer.name] = {}
+        for what, seconds in (("forward", forward), ("backward", backward)):
+            p25, median, p75 = 1e3 * np.percentile(seconds, (25, 50, 75))
+            rows[layer.name].update({f"{what}_ms": median, f"{what}_ms_p25": p25,
+                                     f"{what}_ms_p75": p75})
         act = out.data
     return rows
 

@@ -5,6 +5,10 @@ records the inputs and one gradient rule (vjp) per input. Calling
 :func:`backward` on a scalar output replays the recorded tape in reverse
 topological order and accumulates gradients into every tensor created with
 ``requires_grad=True``. Inside :func:`no_grad` no tape is recorded.
+
+The image layers (``conv2d``, ``avg_pool2``, ``global_avg_pool``) take
+height-major (H, C, W, N) activations, batch innermost, so that their copies
+move long contiguous runs; ``conv2d`` says why.
 """
 
 from __future__ import annotations
@@ -235,10 +239,16 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    """max(x, slope * x): for 0 < slope < 1 the same bits as where(x > 0, x, slope * x)."""
+    """max(x, slope * x): for 0 < slope < 1 the same bits as where(x > 0, x, slope * x).
+
+    The gradient is a lookup, g * [slope, 1][x > 0], with the bits of
+    where(x > 0, g, slope * g) but no branch to mispredict on a sign map.
+    """
     a = _as_tensor(a)
-    return _node(np.maximum(a.data, slope * a.data), (a,),
-                 (lambda g: np.where(a.data > 0, g, slope * g),))
+    out = np.asarray(a.data * slope)  # a 0-d input multiplies to a scalar
+    np.maximum(a.data, out, out=out)
+    return _node(out, (a,),
+                 (lambda g: g * np.array([slope, 1], g.dtype).take((a.data > 0).view(np.uint8)),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -289,19 +299,23 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation over NCHW input with an OIHW kernel.
+    """2-d cross-correlation over (H, C, W, N) input with an OIHW kernel.
 
-    One GEMM per layer over tap-major im2col columns: row ``t*C + c`` of the
-    (N, kh*kw*C, H_out*W_out) columns holds channel c as kernel tap t sees it,
-    taps in row-major order. The kernel, laid out as (O, kh*kw*C) in the same
-    order, multiplies them into the NCHW output directly. With the taps
-    outermost, rather than the channels, each input gradient element is
+    Activations are height-major: rows, channels, columns, batch. With the
+    batch innermost, each tap's copy into the im2col columns, and each
+    scatter-add of the input gradient, moves contiguous runs of W*N values
+    rather than one image row. The columns are (H_out, kh*kw*C, W_out*N):
+    row ``t*C + c`` holds channel c as kernel tap t sees it, taps in
+    row-major order. The kernel, laid out as (O, kh*kw*C) in the same order,
+    multiplies them in one GEMM batched over output rows, whose operands
+    stay in cache, into the (H_out, O, W_out, N) output directly. With the
+    taps outermost, rather than the channels, each input gradient element is
     summed over the taps in the order of a per-tap loop.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d expects 4-d input and kernel")
-    n, c_in, h, w = x.data.shape
+    h, c_in, w, n = x.data.shape
     c_out, kc_in, kh, kw = kernel.data.shape
     if c_in != kc_in:
         raise ShapeError(f"conv2d channel mismatch: input has {c_in}, kernel expects {kc_in}")
@@ -314,33 +328,35 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
 
-    inner = np.s_[:, :, padding : padding + h, padding : padding + w]
+    inner = np.s_[padding : padding + h, :, padding : padding + w]
     xp = x.data
     if padding:
-        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+        xp = np.zeros((h + 2 * padding, c_in, w + 2 * padding, n), dtype=x.data.dtype)
         xp[inner] = x.data
     # the rows and columns of the padded input that tap (i, j) sees at every output position
     spans = [(np.s_[i : i + stride * h_out : stride], np.s_[j : j + stride * w_out : stride])
              for i in range(kh) for j in range(kw)]
-    cols = np.empty((n, kh * kw, c_in, h_out, w_out), dtype=x.data.dtype)
+    cols = np.empty((h_out, kh * kw, c_in, w_out, n), dtype=x.data.dtype)
     for tap, (rows, columns) in enumerate(spans):
-        cols[:, tap] = xp[:, :, rows, columns]
-    cols = cols.reshape(n, kh * kw * c_in, h_out * w_out)
+        cols[:, tap] = xp[rows, :, columns]
+    cols = cols.reshape(h_out, kh * kw * c_in, w_out * n)
     kmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
-    out_data = (kmat @ cols).reshape(n, c_out, h_out, w_out) + bias.data.reshape(1, -1, 1, 1)
+    out_data = kmat @ cols
+    out_data += bias.data[:, None]
+    out_data = out_data.reshape(h_out, c_out, w_out, n)
     padded_shape = xp.shape  # the closures keep ``cols``, not the padded input
 
     def grad_x(g):
-        g_cols = (kmat.T @ g.reshape(n, c_out, h_out * w_out)).reshape(
-            n, kh * kw, c_in, h_out, w_out)
+        g_cols = (kmat.T @ g.reshape(h_out, c_out, w_out * n)).reshape(
+            h_out, kh * kw, c_in, w_out, n)
         gxp = np.zeros(padded_shape, dtype=g_cols.dtype)
         for tap, (rows, columns) in enumerate(spans):
-            gxp[:, :, rows, columns] += g_cols[:, tap]
+            gxp[rows, :, columns] += g_cols[:, tap]
         return gxp[inner]
 
     def grad_kernel(g):
         # a transposed view: a transposed copy of ``cols`` costs more than the GEMM saves
-        gk = (g.reshape(n, c_out, h_out * w_out) @ cols.transpose(0, 2, 1)).sum(axis=0)
+        gk = (g.reshape(h_out, c_out, w_out * n) @ cols.transpose(0, 2, 1)).sum(axis=0)
         return np.ascontiguousarray(gk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
 
     return _node(out_data, (x, kernel, bias),
@@ -348,16 +364,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
 
 
 def avg_pool2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2 (trailing odd row/column dropped).
+    """2x2 average pooling with stride 2 over (H, C, W, N) maps (trailing odd row/column dropped).
 
     Each output is the sum of its window's four inputs, in row-major order,
     times 0.25.
     """
     x = _as_tensor(x)
-    h2, w2 = x.data.shape[2] // 2, x.data.shape[3] // 2
-    corners = [np.s_[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+    h2, w2 = x.data.shape[0] // 2, x.data.shape[2] // 2
+    corners = [np.s_[i : 2 * h2 : 2, :, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
     a = x.data
-    out = (a[corners[0]] + a[corners[1]] + a[corners[2]] + a[corners[3]]) * 0.25
+    out = a[corners[0]] + a[corners[1]]
+    out += a[corners[2]]
+    out += a[corners[3]]
+    out *= 0.25
 
     def grad_x(g):
         gx = np.zeros_like(a)
@@ -370,11 +389,14 @@ def avg_pool2(x: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over spatial axes: NCHW -> NC."""
+    """Mean over the spatial axes: (H, C, W, N) -> a contiguous (N, C)."""
     x = _as_tensor(x)
-    n, c, h, w = x.data.shape
-    return _node(x.data.mean(axis=(2, 3)), (x,),
-                 (lambda g: np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape),))
+    h, c, w, n = x.data.shape
+    # rows, then columns: two reductions over contiguous planes take about half the time
+    # of one mean over axes (0, 2)
+    pooled = np.ascontiguousarray(x.data.sum(axis=0).sum(axis=1).T) / (h * w)
+    return _node(pooled, (x,),
+                 (lambda g: np.broadcast_to(g.T[None, :, None, :] / (h * w), x.data.shape),))
 
 
 # ---------------------------------------------------------------------------

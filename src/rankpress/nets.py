@@ -5,6 +5,11 @@ probability for two such pairs is sigmoid(s1 - s2). The teacher is a stack
 of conv blocks (conv -> leaky ReLU -> 2x average pool) over the channel
 concatenation of (R - D) and D, followed by global average pooling and a
 dense score head.
+
+Patches arrive NCHW, as the containers store them. ``pair_input`` lays the
+conv stack's input out height-major, (H, C, W, N), the layout every conv
+block keeps (see ``autodiff.conv2d``); global average pooling hands the
+dense head an (N, C) matrix. Kernels stay OIHW.
 """
 
 from __future__ import annotations
@@ -81,6 +86,17 @@ class NetworkSpec:
                 raise ConfigError(f"kernel {layer.kernel} exceeds padded input {h}x{w}")
             if h_out // 2 < 1 or w_out // 2 < 1:
                 raise ConfigError("patch too small for the configured conv stack")
+
+    def patch_mismatch(self, shape: tuple[int, ...]) -> Optional[str]:
+        """Why (C, H, W) patches of ``shape`` are not this network's input, or None if they are.
+
+        The input stacks R - D on D, so it has twice the patches' channels.
+        """
+        expected = (self.in_channels, self.height, self.width)
+        if len(shape) == 3 and (2 * shape[0], *shape[1:]) == expected:
+            return None
+        return (f"{'x'.join(map(str, shape))} patches do not fit the network's input "
+                f"({self.in_channels} planes of {self.height}x{self.width})")
 
     def spatial_sizes(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """(H, W) at the input and at the output (before the pool) of each conv layer."""
@@ -164,39 +180,39 @@ def layer_forward(layer: LayerSpec, params: ParameterSet, x: Tensor) -> Tensor:
     if layer.kind == "conv":
         out = ad.conv2d(x, w, b, stride=layer.stride, padding=layer.padding)
         return ad.avg_pool2(ad.leaky_relu(out))
-    # the first dense layer pools the NCHW maps, the later ones follow leaky ReLU
+    # the first dense layer pools the (H, C, W, N) maps, the later ones follow leaky ReLU
     x = ad.global_avg_pool(x) if x.data.ndim == 4 else ad.leaky_relu(x)
     return ad.dense(x, w, b)
 
 
 def forward_features(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
-    """Run the spec'd layer stack on a prepared NCHW input, returning scores [N]."""
+    """Run the spec'd layer stack on a ``pair_input`` (H, C, W, N) input, returning scores [N]."""
     out = x
     for layer in spec.layers:
         out = layer_forward(layer, params, out)
     return ad.reshape(out, (out.data.shape[0],))
 
 
-def _check_geometry(spec: NetworkSpec, arr: np.ndarray, what: str):
-    c = spec.in_channels // 2
-    if arr.shape[-3:] != (c, spec.height, spec.width):
-        raise ShapeError(
-            f"{what} geometry {arr.shape[-3:]} != configured ({c}, {spec.height}, {spec.width})"
-        )
-
-
 def pair_input(spec: NetworkSpec, ref: np.ndarray, dist: np.ndarray, dtype=None) -> Tensor:
-    """Assemble the network input: concat(R - D, D) along channels, NCHW."""
+    """Assemble the network input: R - D, then D, along channels, as (H, 2C, W, N).
+
+    ``ref`` and ``dist`` are NCHW batches (or one CHW patch each). R - D,
+    taken in the patches' own dtype, and D are each copied once, transposed,
+    into the height-major array of ``dtype`` that the conv stack runs on.
+    """
     ref = np.asarray(ref)
     dist = np.asarray(dist)
     if ref.ndim == 3:
         ref, dist = ref[None], dist[None]
-    _check_geometry(spec, ref, "reference")
-    _check_geometry(spec, dist, "distorted")
-    if dtype is None:
-        dtype = ref.dtype
-    stacked = np.concatenate([ref - dist, dist], axis=1).astype(dtype)
-    return Tensor(stacked)
+    for what, arr in (("reference", ref), ("distorted", dist)):
+        mismatch = spec.patch_mismatch(arr.shape[1:])
+        if mismatch:
+            raise ShapeError(f"{what}: {mismatch}")
+    n, c, h, w = ref.shape
+    x = np.empty((h, 2 * c, w, n), dtype=ref.dtype if dtype is None else dtype)
+    x[:, :c] = (ref - dist).transpose(2, 1, 3, 0)
+    x[:, c:] = dist.transpose(2, 1, 3, 0)
+    return Tensor(x)
 
 
 def score_batch(spec: NetworkSpec, params: ParameterSet, ref: np.ndarray, dist: np.ndarray) -> Tensor:

@@ -156,10 +156,9 @@ def gen_data(cfg: PipelineConfig, outdir) -> dict[str, Path]:
 
 def _check_geometry(records: np.ndarray, spec, what) -> None:
     """ConfigError unless the records' (C, H, W) patches are the network's input geometry."""
-    c, h, w = records.dtype[0].shape[-3:]  # the leading patch field of a pair or eval record
-    if (2 * c, h, w) != (spec.in_channels, spec.height, spec.width):
-        raise ConfigError(f"{what}: {c}x{h}x{w} patches do not fit the network's input "
-                          f"({spec.in_channels} planes of {spec.height}x{spec.width})")
+    mismatch = spec.patch_mismatch(records.dtype[0].shape[-3:])  # a record's leading patch field
+    if mismatch:
+        raise ConfigError(f"{what}: {mismatch}")
 
 
 def _load_pair_data(datadir, *specs):

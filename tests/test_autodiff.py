@@ -11,6 +11,16 @@ def t(data, grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
+def hcwn(a):
+    """An NCHW array in the (H, C, W, N) layout that conv2d and the pools take."""
+    return np.ascontiguousarray(np.asarray(a).transpose(2, 1, 3, 0))
+
+
+def nchw(a):
+    """An (H, C, W, N) array back in NCHW."""
+    return a.transpose(3, 1, 0, 2)
+
+
 class TestSigmoid:
     def test_zero_is_half(self):
         assert float(ad.sigmoid(t(0.0)).data) == 0.5
@@ -34,48 +44,48 @@ class TestSigmoid:
 
 class TestConv2d:
     def test_scalar_kernel_scales(self):
-        x = t(np.ones((1, 1, 3, 3)))
+        x = t(hcwn(np.ones((1, 1, 3, 3))))
         k = t([[[[2.0]]]])
         out = ad.conv2d(x, k, t([0.0]))
-        assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
+        assert np.array_equal(nchw(out.data), np.full((1, 1, 3, 3), 2.0))
 
     def test_zero_kernel_gives_bias(self):
-        x = t(np.random.default_rng(0).random((2, 3, 5, 5)))
+        x = t(hcwn(np.random.default_rng(0).random((2, 3, 5, 5))))
         k = t(np.zeros((4, 3, 3, 3)))
         out = ad.conv2d(x, k, t([1.0, -2.0, 0.5, 3.0]), padding=1)
         for c, b in enumerate([1.0, -2.0, 0.5, 3.0]):
-            assert np.allclose(out.data[:, c], b)
+            assert np.allclose(nchw(out.data)[:, c], b)
 
     def test_averaging_kernel_on_ramp(self):
         # oracle: direct 9-point neighborhood sums, written independently
         ramp = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         k = t(np.full((1, 1, 3, 3), 1.0 / 9.0))
-        out = ad.conv2d(t(ramp), k, t([0.0]))
+        out = ad.conv2d(t(hcwn(ramp)), k, t([0.0]))
         expected = np.empty((2, 2))
         for i in range(2):
             for j in range(2):
                 expected[i, j] = ramp[0, 0, i : i + 3, j : j + 3].sum() / 9.0
-        assert np.allclose(out.data[0, 0], expected, atol=1e-12)
+        assert np.allclose(nchw(out.data)[0, 0], expected, atol=1e-12)
 
     def test_one_hot_1x1_kernel_selects_channel(self):
-        x = t(np.random.default_rng(1).random((2, 4, 6, 6)))
+        x = np.random.default_rng(1).random((2, 4, 6, 6))
         k = np.zeros((1, 4, 1, 1))
         k[0, 2, 0, 0] = 1.0
-        out = ad.conv2d(x, t(k), t([0.0]))
-        assert np.array_equal(out.data[:, 0], x.data[:, 2])
+        out = ad.conv2d(t(hcwn(x)), t(k), t([0.0]))
+        assert np.array_equal(nchw(out.data)[:, 0], x[:, 2])
 
     def test_output_geometry(self):
-        x = t(np.zeros((1, 1, 11, 7)))
+        x = t(hcwn(np.zeros((1, 1, 11, 7))))
         out = ad.conv2d(x, t(np.zeros((1, 1, 3, 3))), t([0.0]), stride=2, padding=1)
-        assert out.data.shape == (1, 1, (11 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+        assert nchw(out.data).shape == (1, 1, (11 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channel"):
-            ad.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))), t([0.0]))
+            ad.conv2d(t(hcwn(np.zeros((1, 2, 4, 4)))), t(np.zeros((1, 3, 3, 3))), t([0.0]))
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 5, 5))), t([0.0]))
+            ad.conv2d(t(hcwn(np.zeros((1, 1, 2, 2)))), t(np.zeros((1, 1, 5, 5))), t([0.0]))
 
 
 class TestDense:
@@ -178,7 +188,7 @@ class TestGradientCheck:
         x = rng.random((2, 2, 6, 6))
 
         def fwd():
-            h = ad.leaky_relu(ad.conv2d(Tensor(x), params["k"], params["kb"], padding=1))
+            h = ad.leaky_relu(ad.conv2d(Tensor(hcwn(x)), params["k"], params["kb"], padding=1))
             h = ad.global_avg_pool(h)
             return ad.tsum(ad.dense(h, params["w"], params["b"]))
 
@@ -209,7 +219,7 @@ class TestGradientCheck:
         }
 
         def fwd():
-            h = ad.conv2d(Tensor(x), params["k"], params["kb"], padding=1)
+            h = ad.conv2d(Tensor(hcwn(x)), params["k"], params["kb"], padding=1)
             h = ad.leaky_relu(h)
             h = ad.avg_pool2(h)
             h = ad.global_avg_pool(h)
@@ -220,16 +230,17 @@ class TestGradientCheck:
         assert ad.gradient_check(fwd, params, n_coords=20) < 1e-4
 
 
-# parameter shapes and the op under test; every parameter requires a gradient
+# parameter shapes and the op under test; every parameter requires a gradient. The conv
+# and pool inputs are (H, C, W, N), the NCHW shapes (2, 2, 7, 7) and (2, 3, 7, 5)
 OP_GRADIENT_CASES = {
     "add-broadcast": ({"a": (3, 4), "b": (1, 4)}, lambda p: ad.add(p["a"], p["b"])),
     "sub-broadcast": ({"a": (3, 4), "b": (1, 4)}, lambda p: ad.sub(p["a"], p["b"])),
     "mul-broadcast": ({"a": (3, 4), "b": (1, 4)}, lambda p: ad.mul(p["a"], p["b"])),
     "conv2d-stride2-pad1": (
-        {"x": (2, 2, 7, 7), "k": (3, 2, 3, 3), "kb": (3,)},
+        {"x": (7, 2, 7, 2), "k": (3, 2, 3, 3), "kb": (3,)},
         lambda p: ad.conv2d(p["x"], p["k"], p["kb"], stride=2, padding=1),
     ),
-    "avg_pool2-odd-extent": ({"x": (2, 3, 7, 5)}, lambda p: ad.avg_pool2(p["x"])),
+    "avg_pool2-odd-extent": ({"x": (7, 3, 5, 2)}, lambda p: ad.avg_pool2(p["x"])),
     "dense-input-grad": (
         {"x": (3, 5), "w": (2, 5), "b": (2,)},
         lambda p: ad.dense(p["x"], p["w"], p["b"]),
@@ -293,21 +304,22 @@ CONV_CASES += [((1, 2, 3, 3), 5, 1, 1), ((2, 2, 5, 3), 5, 2, 1), ((1, 3, 4, 6), 
 @pytest.mark.parametrize("shape, kernel, stride, padding", CONV_CASES)
 def test_conv2d_matches_naive_loop(shape, kernel, stride, padding):
     rng = np.random.default_rng(12)
-    x = t(rng.standard_normal(shape), grad=True)
+    x_nchw = rng.standard_normal(shape)
+    x = t(hcwn(x_nchw), grad=True)
     k = t(rng.standard_normal((4, shape[1], kernel, kernel)), grad=True)
     b = t(rng.standard_normal(4), grad=True)
     out = ad.conv2d(x, k, b, stride=stride, padding=padding)
-    expected = _naive_conv2d(x.data, k.data, b.data, stride, padding)
-    assert out.data.shape == expected.shape
-    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    expected = _naive_conv2d(x_nchw, k.data, b.data, stride, padding)
+    assert nchw(out.data).shape == expected.shape
+    np.testing.assert_allclose(nchw(out.data), expected, rtol=1e-12, atol=1e-12)
     with ad.no_grad():
         leaf = ad.conv2d(x, k, b, stride=stride, padding=padding)
     assert leaf.data.tobytes() == out.data.tobytes()
     assert not leaf._parents and leaf._backward is None and not leaf.requires_grad
     g = rng.standard_normal(expected.shape)
-    ad.backward(ad.tsum(ad.mul(out, g)))
-    gx, gk = _naive_conv2d_grads(x.data, k.data, g, stride, padding)
-    np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+    ad.backward(ad.tsum(ad.mul(out, hcwn(g))))
+    gx, gk = _naive_conv2d_grads(x_nchw, k.data, g, stride, padding)
+    np.testing.assert_allclose(nchw(x.grad), gx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(k.grad, gk, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
 
@@ -316,20 +328,21 @@ def test_conv2d_matches_naive_loop(shape, kernel, stride, padding):
 @pytest.mark.parametrize("shape", [(2, 3, 7, 5), (1, 2, 5, 9), (2, 1, 4, 6)])
 def test_avg_pool2_matches_reshape_mean(shape, dtype):
     rng = np.random.default_rng(13)
-    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    x_nchw = rng.standard_normal(shape).astype(dtype)
+    x = Tensor(hcwn(x_nchw), requires_grad=True)
     out = ad.avg_pool2(x)
     n, c, h, w = shape
     h2, w2 = h // 2, w // 2
-    mean = x.data[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2).mean(axis=(3, 5))
+    mean = x_nchw[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2).mean(axis=(3, 5))
     assert out.data.dtype == dtype
     # four rounded additions on each side, each off by at most eps/2 of a partial sum
     bound = 4 * np.finfo(dtype).eps * np.abs(x.data).max()
-    np.testing.assert_allclose(out.data, mean, rtol=0, atol=bound)
+    np.testing.assert_allclose(nchw(out.data), mean, rtol=0, atol=bound)
     g = rng.standard_normal(mean.shape).astype(dtype)
-    ad.backward(ad.tsum(ad.mul(out, g)))
+    ad.backward(ad.tsum(ad.mul(out, hcwn(g))))
     expected = np.zeros(shape, dtype=dtype)  # the trailing odd row and column get nothing
     expected[:, :, : 2 * h2, : 2 * w2] = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4
-    assert np.array_equal(x.grad, expected)
+    assert np.array_equal(nchw(x.grad), expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rankpress.autodiff import ShapeError
 from rankpress.nets import (
     ConfigError,
     LayerSpec,
@@ -31,9 +32,22 @@ def test_pair_input_is_difference_then_distorted(small_net):
     ref = rng.random((2, 1, 16, 16))
     dist = rng.random((2, 1, 16, 16))
     x = pair_input(spec, ref, dist).data
-    assert x.shape == (2, 2, 16, 16)
+    assert x.shape == (16, 2, 16, 2)  # (H, C, W, N)
+    x = x.transpose(3, 1, 0, 2)
     assert np.array_equal(x[:, :1], ref - dist)
     assert np.array_equal(x[:, 1:], dist)
+
+
+def test_patches_of_another_geometry_rejected(small_net):
+    cfg, (spec, _) = small_net
+    assert spec.patch_mismatch((1, 16, 16)) is None
+    for shape in ((2, 16, 16), (1, 16, 12), (1, 12, 16), (16, 16), (1, 1, 16, 16)):
+        assert "do not fit the network's input (2 planes of 16x16)" in spec.patch_mismatch(shape)
+    good, bad = np.zeros((2, 1, 16, 16)), np.zeros((2, 1, 16, 12))
+    with pytest.raises(ShapeError, match="reference: 1x16x12 patches do not fit"):
+        pair_input(spec, bad, good)
+    with pytest.raises(ShapeError, match="distorted: 1x16x12 patches do not fit"):
+        pair_input(spec, good, bad)
 
 
 def test_identical_pair_has_zero_difference_channel(small_net):
