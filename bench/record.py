@@ -15,8 +15,11 @@ script. The file holds
   unless it is the first layer;
 - ``stages``: the wall seconds of each stage of one 2-epoch pipeline
   (``epochs=2, lam=1.0``), and the student's ``ratio.txt``;
-- ``machine``: CPU count, Python, numpy and BLAS versions, the BLAS thread
-  count and the git commit of the checkout.
+- ``machine``: CPU count, Python, numpy and BLAS versions, the OpenBLAS core
+  that numpy's BLAS picked for this CPU (``openblas_core``; criterion 6 moves
+  with it), the BLAS thread count, the git commit of the checkout, and
+  ``cli_import_s``: the median wall seconds over ``--reps`` fresh processes of
+  ``python -c "import rankpress.cli"``, the start-up every command pays.
 
 Both parts use the default pipeline configuration. Like ``perfbench``, the
 recorder runs one BLAS thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
@@ -30,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import platform
@@ -59,7 +63,30 @@ def _git(*args) -> str | None:
     return out.stdout.strip()
 
 
-def machine() -> dict:
+def openblas_core() -> str | None:
+    """The kernel set OpenBLAS chose for this CPU at load time, from the library
+    numpy's wheel bundles; ``None`` for a numpy built against another BLAS."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def cli_import_seconds(reps: int) -> float:
+    """Median wall seconds of a fresh ``python -c "import rankpress.cli"``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    seconds = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import rankpress.cli"], env=env, check=True)
+        seconds.append(time.perf_counter() - t0)
+    return float(np.median(seconds))
+
+
+def machine(reps: int) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     status = _git("status", "--porcelain", "--untracked-files=no")
     return {
@@ -69,9 +96,11 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "openblas_core": openblas_core(),
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
+        "cli_import_s": cli_import_seconds(reps),
     }
 
 
@@ -148,7 +177,7 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
         stages = time_stages(cfg, Path(work))
     result = {
         "label": label,
-        "machine": machine(),
+        "machine": machine(reps),
         "config": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in dataclasses.asdict(cfg).items()},
         "reps": reps,

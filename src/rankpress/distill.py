@@ -44,6 +44,10 @@ class BatchPredictions:
 
 
 def _clamped(p: Tensor) -> Tensor:
+    """``p`` clamped to [eps, 1 - eps]. Every term reads the student through it:
+    a saturated probability then passes no gradient, where unclamped products
+    such as ``p * p`` and the sigmoid's ``p (1 - p)`` would carry float32
+    subnormals, slow to compute with, into every layer below."""
     return ad.clip(p, EPS_PROB, 1.0 - EPS_PROB)
 
 
@@ -58,16 +62,18 @@ def batch_loss(bp: BatchPredictions) -> Tensor:
     """Squared Frobenius distance of the B x B Gram matrices, scaled by 1/B."""
     b = bp.teacher.shape[0]
     gram_t = np.outer(bp.teacher, bp.teacher)
-    s_col = ad.reshape(bp.student, (b, 1))
-    s_row = ad.reshape(bp.student, (1, b))
-    diff = ad.sub(Tensor(gram_t.astype(bp.student.dtype)), ad.mul(s_col, s_row))
+    s = _clamped(bp.student)
+    s_col = ad.reshape(s, (b, 1))
+    s_row = ad.reshape(s, (1, b))
+    diff = ad.sub(Tensor(gram_t.astype(s.dtype)), ad.mul(s_col, s_row))
     return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / b)
 
 
 def class_loss(bp: BatchPredictions) -> Tensor:
     """Squared difference of the scalar self-inner-products (binary case)."""
     tt = float(np.dot(bp.teacher, bp.teacher))
-    ss = ad.tsum(ad.mul(bp.student, bp.student))
+    s = _clamped(bp.student)
+    ss = ad.tsum(ad.mul(s, s))
     diff = ad.sub(ss, tt)
     return ad.mul(diff, diff)
 

@@ -166,47 +166,48 @@ class LogisticFit:
     linear_fallback: bool
 
 
-def _logistic(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    z = np.clip(b[1] * (x - b[2]), -500, 500)
-    g = 1.0 / (1.0 + np.exp(z))
-    return b[0] * (0.5 - g) + b[3]
-
-
-def _jacobian(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    z = np.clip(b[1] * (x - b[2]), -500, 500)
-    g = 1.0 / (1.0 + np.exp(z))
-    gg = g * (1.0 - g)
-    return np.column_stack([
-        0.5 - g,
-        b[0] * gg * (x - b[2]),
-        -b[0] * b[1] * gg,
-        np.ones_like(x),
-    ])
+def _residual(b: np.ndarray, x: np.ndarray, t: np.ndarray):
+    """``t`` minus the logistic at ``b``, with the ``x - b3`` and the sigmoid
+    ``1 / (1 + exp(b2 (x - b3)))`` it was computed from."""
+    xc = x - b[2]
+    g = 1.0 / (1.0 + np.exp(np.clip(b[1] * xc, -500, 500)))
+    return t - (b[0] * (0.5 - g) + b[3]), xc, g
 
 
 def _lm(b0: np.ndarray, x: np.ndarray, t: np.ndarray, max_iter: int = 200) -> tuple[np.ndarray, float]:
-    """Damped (Levenberg-Marquardt-style) least squares; SSE never increases."""
+    """Damped (Levenberg-Marquardt-style) least squares; SSE never increases.
+
+    Each Jacobian reuses the sigmoid and ``x - b3`` of the point it is taken at,
+    which the previous accepted step already computed.
+    """
     b = b0.copy()
-    r = t - _logistic(b, x)
+    r, xc, g = _residual(b, x, t)
     sse = float(r @ r)
     mu = 1e-3
+    jac = np.empty((x.size, 4))
+    jac[:, 3] = 1.0
     for _ in range(max_iter):
-        jac = _jacobian(b, x)
-        g = jac.T @ r
+        gg = g * (1.0 - g)
+        np.subtract(0.5, g, out=jac[:, 0])
+        np.multiply(b[0] * gg, xc, out=jac[:, 1])
+        np.multiply(-b[0] * b[1], gg, out=jac[:, 2])
+        grad = jac.T @ r
         h = jac.T @ jac
+        damped = h.copy()
         accepted = False
         for _ in range(50):
+            np.fill_diagonal(damped, h.diagonal() + mu)
             try:
-                delta = np.linalg.solve(h + mu * np.eye(4), g)
+                delta = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
             b_new = b + delta
-            r_new = t - _logistic(b_new, x)
+            r_new, xc_new, g_new = _residual(b_new, x, t)
             sse_new = float(r_new @ r_new)
             if np.isfinite(sse_new) and sse_new <= sse:
                 improved = sse - sse_new
-                b, r, sse = b_new, r_new, sse_new
+                b, r, sse, xc, g = b_new, r_new, sse_new, xc_new, g_new
                 mu = max(mu / 3.0, 1e-12)
                 accepted = True
                 break
@@ -252,7 +253,7 @@ def logistic_fit(pred, truth, max_iter: int = 200) -> LogisticFit:
     if not np.all(np.isfinite(b)):
         r = t - (slope * x + intercept)
         return LogisticFit((slope, 0.0, 0.0, intercept), r, float(r @ r), True)
-    r = t - _logistic(b, x)
+    r = _residual(b, x, t)[0]
     return LogisticFit(tuple(float(v) for v in b), r, sse, False)
 
 

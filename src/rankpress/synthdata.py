@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 KINDS = (
     "gaussian-blur",
@@ -67,6 +67,56 @@ def eval_dtype(c: int, h: int, w: int) -> np.dtype:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian blur
+
+
+@lru_cache(maxsize=64)
+def _blur_taps(sigma: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The centre weight, the pair weights from the farthest pair inward, and
+    the padding indices of a Gaussian of ``sigma`` over an extent of ``n``.
+
+    The kernel is built as ``scipy.ndimage``'s ``_gaussian_kernel1d`` builds it
+    (radius ``int(4 sigma + 0.5)``). Position ``p`` of the padded line, ``-radius
+    <= p < n + radius``, reads index ``p`` reflected half-sample symmetrically
+    (``d c b a | a b c d | d c b a``), repeating for a radius wider than the extent.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    phi = phi / phi.sum()
+    pad = np.arange(-radius, n + radius) % (2 * n)
+    pad = np.where(pad < n, pad, 2 * n - 1 - pad)
+    pair_weights = phi[:radius].copy()
+    pad.flags.writeable = pair_weights.flags.writeable = False
+    return float(phi[radius]), pair_weights, pad
+
+
+def _gaussian_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(plane, sigma)`` of every float64 plane in
+    the last two axes, bit for bit.
+
+    ndimage correlates along the height, then along the width, in mode
+    ``'reflect'``. Per output value its loop starts from the centre tap times
+    its weight and adds ``(left + right) * weight`` for each tap pair from the
+    farthest inward; here the terms stack on a leading axis, and
+    ``np.add.reduce`` over a leading axis adds them in that same order.
+    """
+    out = planes
+    for axis in (-2, -1):
+        n = out.shape[axis]
+        centre, pair_weights, pad = _blur_taps(float(sigma), n)
+        radius = len(pair_weights)
+        padded = out.swapaxes(axis, 0)[pad]  # (n + 2 radius, ...), contiguous
+        terms = np.empty((radius + 1, n, *padded.shape[1:]))
+        np.multiply(padded[radius : radius + n], centre, out=terms[0])
+        for k in range(radius):
+            np.add(padded[k : k + n], padded[2 * radius - k : 2 * radius - k + n], out=terms[k + 1])
+        terms[1:] *= pair_weights.reshape(-1, *[1] * padded.ndim)
+        out = np.add.reduce(terms, axis=0).swapaxes(0, axis)
+    return np.ascontiguousarray(out)
+
+
+# ---------------------------------------------------------------------------
 # source patches
 
 
@@ -81,12 +131,12 @@ def _rescale(patch: np.ndarray) -> np.ndarray:
 def _make_source(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     style = rng.integers(0, 4)
     if style == 0:  # band-limited noise
-        patch = ndimage.gaussian_filter(rng.standard_normal((h, w)), sigma=rng.uniform(0.8, 2.5))
+        patch = _gaussian_blur(rng.standard_normal((h, w)), rng.uniform(0.8, 2.5))
     elif style == 1:  # oriented ramp with texture
         theta = rng.uniform(0, np.pi)
         yy, xx = np.mgrid[0:h, 0:w]
         patch = np.cos(theta) * xx / w + np.sin(theta) * yy / h
-        patch = patch + 0.15 * ndimage.gaussian_filter(rng.standard_normal((h, w)), 1.0)
+        patch = patch + 0.15 * _gaussian_blur(rng.standard_normal((h, w)), 1.0)
     elif style == 2:  # jittered checkerboard
         cell = int(rng.integers(4, 9))
         yy, xx = np.mgrid[0:h, 0:w]
@@ -121,14 +171,18 @@ def generate_sources(n: int, geometry: tuple[int, int, int], seed: int) -> list[
 # distortions
 
 
-def _down_up(plane: np.ndarray, factor: int) -> np.ndarray:
-    h, w = plane.shape
-    ph = (-h) % factor
-    pw = (-w) % factor
-    padded = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
-    hh, ww = padded.shape
-    small = padded.reshape(hh // factor, factor, ww // factor, factor).mean(axis=(1, 3))
-    return np.repeat(np.repeat(small, factor, axis=0), factor, axis=1)[:h, :w]
+def _down_up(planes: np.ndarray, factor: int) -> np.ndarray:
+    """Box-average ``factor`` x ``factor`` blocks of each plane of a ``(C, H, W)``
+    patch (edge-padded to a multiple of ``factor``) and repeat each average back."""
+    c, h, w = planes.shape
+    rows = np.minimum(np.arange(h + (-h) % factor), h - 1)
+    cols = np.minimum(np.arange(w + (-w) % factor), w - 1)
+    # ``take`` keeps the padded copy C-ordered, so each block sums in the order a
+    # single plane's would
+    blocks = planes.take(rows, axis=1).take(cols, axis=2).reshape(
+        c, len(rows) // factor, factor, len(cols) // factor, factor)
+    small = blocks.mean(axis=(2, 4))
+    return np.repeat(np.repeat(small, factor, axis=1), factor, axis=2)[:, :h, :w]
 
 
 def apply_distortion(patch: np.ndarray, spec: DistortionSpec, seed: int) -> np.ndarray:
@@ -138,7 +192,7 @@ def apply_distortion(patch: np.ndarray, spec: DistortionSpec, seed: int) -> np.n
     level = spec.level
     out = patch.astype(np.float64)
     if spec.kind == "gaussian-blur":
-        out = np.stack([ndimage.gaussian_filter(pl, sigma=0.6 * level) for pl in out])
+        out = _gaussian_blur(out, 0.6 * level)
     elif spec.kind == "additive-gaussian-noise":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1, level)))
         out = out + rng.standard_normal(out.shape) * 0.05 * level
@@ -146,7 +200,7 @@ def apply_distortion(patch: np.ndarray, spec: DistortionSpec, seed: int) -> np.n
         q = 2 ** (MAX_LEVEL + 1 - level)  # levels 1..6 -> 64, 32, 16, 8, 4, 2 bins
         out = np.round(out * (q - 1)) / (q - 1)
     elif spec.kind == "downsample-upsample":
-        out = np.stack([_down_up(pl, factor=1 + level) for pl in out])
+        out = _down_up(out, factor=1 + level)
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
@@ -187,10 +241,15 @@ def make_pair_dataset(
             la, lb = rng.choice(np.arange(1, levels + 1), size=2, replace=False)
             src1 = src2 = sources[si]
         lev1, lev2 = int(la), int(lb)
-        d1 = apply_distortion(src1, DistortionSpec(KINDS[ki], lev1), seed=int(rng.integers(2**31)))
-        d2 = apply_distortion(src2, DistortionSpec(KINDS[ki], lev2), seed=int(rng.integers(2**31)))
-        pairs[idx] = (np.stack([src1, d1, src2, d2]), int(lev1 < lev2), ki, lev1, lev2,
-                      pseudo_mos(lev1, levels, rng), pseudo_mos(lev2, levels, rng))
+        rec = pairs[idx]  # a view: the fields below are written in place
+        patches = rec["patches"]
+        patches[0], patches[2] = src1, src2
+        seed1, seed2 = int(rng.integers(2**31)), int(rng.integers(2**31))
+        patches[1] = apply_distortion(src1, DistortionSpec(KINDS[ki], lev1), seed1)
+        patches[3] = apply_distortion(src2, DistortionSpec(KINDS[ki], lev2), seed2)
+        rec["label"], rec["kind"], rec["lev1"], rec["lev2"] = lev1 < lev2, ki, lev1, lev2
+        rec["mos1"] = pseudo_mos(lev1, levels, rng)
+        rec["mos2"] = pseudo_mos(lev2, levels, rng)
     return pairs
 
 
@@ -229,8 +288,9 @@ _HEADER = struct.Struct("<4sHIHHH")  # magic, version, count, C, H, W
 
 def _write(path, magic: bytes, records: np.ndarray):
     c, h, w = records.dtype[0].shape[-3:]  # the first field of both dtypes ends in (C, H, W)
-    header = _HEADER.pack(magic, FORMAT_VERSION, len(records), c, h, w)
-    Path(path).write_bytes(header + records.tobytes())
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(magic, FORMAT_VERSION, len(records), c, h, w))
+        f.write(np.ascontiguousarray(records))
 
 
 def _read(path, magic: bytes, dtype_of) -> np.ndarray:

@@ -22,8 +22,9 @@ def test_record_writes_every_section(tmp_path):
     result = json.loads(out.read_text())
     assert result["label"] == "smoke" and result["config"]["epochs"] == 2
     assert result["config"]["lam"] == 1.0 and result["config"]["patch"] == 12
-    for key in ("nproc", "numpy", "blas", "blas_threads", "git_sha"):
+    for key in ("nproc", "numpy", "blas", "openblas_core", "blas_threads", "git_sha"):
         assert key in result["machine"]
+    assert 0 < result["machine"]["cli_import_s"] < 30
     names = {"teacher": ["conv1", "conv2", "conv3", "fc1", "fc2"],
              "student": ["conv1", "conv2", "conv3", "fc1", "fc2"]}
     assert result["nets"]["student"]["conv_widths"] == [4, 6, 20]

@@ -1,5 +1,10 @@
 """End-to-end command-line checks on a deliberately tiny configuration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rankpress.cli import run
@@ -294,3 +299,19 @@ class TestExitCodes:
                     "--teacher", d["teacher"] + "/teacher.ckpt",
                     "--out", str(tmp_path / "o")] + _sets(["conv_widths=6"]))
         assert code == 1
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh process: the tests themselves import scipy as an oracle
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = ("import sys\n"
+              "from rankpress.cli import run\n"
+              "code = run(sys.argv[1:])\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    argv = ["gen-data", "--out", str(tmp_path / "data"), *_sets()]
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split("\n")[-2] == "0 []"
+    assert (tmp_path / "data" / "train.rpds").exists()

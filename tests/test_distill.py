@@ -14,7 +14,7 @@ from rankpress.distill import (
     total_loss,
 )
 from rankpress.nets import build_teacher
-from rankpress.optim import pair_accuracy, ranking_bce_loss
+from rankpress.optim import pair_accuracy, predict_probabilities, ranking_bce_loss
 from rankpress.pipeline import PipelineConfig
 from rankpress.pruning import StructureError
 from rankpress.synthdata import generate_sources, make_pair_dataset
@@ -213,3 +213,18 @@ class TestDistillTrain:
         s_spec, s_params = build_teacher(small)
         with pytest.raises(ValueError, match="empty training set"):
             distill_train(t_spec, t_params, s_spec, s_params, train[:0], PipelineConfig(seed=0))
+
+    def test_saturated_student_gets_no_subnormal_gradient(self, distill_setup):
+        # the eight pairs the student ranks lowest, pushed far below EPS_PROB by a
+        # large last layer: unclamped, the Gram and energy terms send float32
+        # subnormals into every parameter gradient
+        small, (t_spec, t_params), train, _ = distill_setup
+        s_spec, s_params = build_teacher(small)
+        batch = train[np.argsort(predict_probabilities(s_spec, s_params, train))[:8]]
+        s_params["fc2.weight"].data *= 3200.0
+        assert predict_probabilities(s_spec, s_params, batch).max() < 1e-20
+        distill_train(t_spec, t_params, s_spec, s_params, batch, PipelineConfig(epochs=1, seed=0))
+        tiny = np.finfo(np.float32).tiny
+        for name, p in s_params.items():
+            assert p.grad.dtype == np.float32
+            assert not np.any((p.grad != 0) & (np.abs(p.grad) < tiny)), name

@@ -9,6 +9,7 @@ from rankpress.nets import PREDICT_ROWS, build_teacher
 from rankpress.pipeline import PipelineConfig
 from rankpress.stats import (
     StatsError,
+    _lm,
     average_ranks,
     betainc_reg,
     compare_models,
@@ -171,6 +172,66 @@ class TestLogisticFit:
         t = np.tanh(x - 4) * 2 + 3 + rng.normal(0, 0.05, 30)
         fit = logistic_fit(x, t)
         assert fit.sse < float(np.sum((t - t.mean()) ** 2))
+
+
+def _lm_reference(b0, x, t, max_iter=200):
+    """The damped least squares as first written: a fresh Jacobian and sigmoid
+    per iteration and ``h + mu I``; also returns the iterations it ran."""
+
+    def logistic(b):
+        z = np.clip(b[1] * (x - b[2]), -500, 500)
+        return b[0] * (0.5 - 1.0 / (1.0 + np.exp(z))) + b[3]
+
+    def jacobian(b):
+        z = np.clip(b[1] * (x - b[2]), -500, 500)
+        g = 1.0 / (1.0 + np.exp(z))
+        gg = g * (1.0 - g)
+        return np.column_stack([0.5 - g, b[0] * gg * (x - b[2]), -b[0] * b[1] * gg,
+                                np.ones_like(x)])
+
+    b = b0.copy()
+    r = t - logistic(b)
+    sse = float(r @ r)
+    mu = 1e-3
+    for it in range(1, max_iter + 1):
+        jac = jacobian(b)
+        g = jac.T @ r
+        h = jac.T @ jac
+        accepted = False
+        for _ in range(50):
+            try:
+                delta = np.linalg.solve(h + mu * np.eye(4), g)
+            except np.linalg.LinAlgError:
+                mu *= 10.0
+                continue
+            b_new = b + delta
+            r_new = t - logistic(b_new)
+            sse_new = float(r_new @ r_new)
+            if np.isfinite(sse_new) and sse_new <= sse:
+                improved = sse - sse_new
+                b, r, sse = b_new, r_new, sse_new
+                mu = max(mu / 3.0, 1e-12)
+                accepted = True
+                break
+            mu *= 10.0
+        if not accepted or improved < 1e-14 * max(sse, 1.0):
+            break
+    return b, sse, it
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("noise, stalls", [(1.0, True), (0.1, False)])
+    def test_iterates_match_the_reference_bit_for_bit(self, noise, stalls):
+        # six graded levels scored by a weak (noise 1.0) or a fair (noise 0.1)
+        # predictor; logistic_fit's first start stalls at max_iter on the former
+        rng = np.random.default_rng(3 if stalls else 4)
+        t = np.repeat(np.arange(6.0, 0.0, -1.0), 8) + rng.uniform(-0.2, 0.2, 48)
+        x = rng.normal(size=48) * noise + 0.3 * t * (not stalls)
+        b0 = np.array([np.ptp(t), 1.0 / x.std(), np.median(x), t.mean()])
+        b_ref, sse_ref, iterations = _lm_reference(b0, x, t)
+        assert (iterations == 200) == stalls
+        b, sse = _lm(b0, x, t)
+        assert b.tobytes() == b_ref.tobytes() and sse == sse_ref
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rankpress.synthdata import (
     KINDS,
+    MAX_LEVEL,
     DataFormatError,
     DistortionSpec,
     apply_distortion,
@@ -15,6 +17,7 @@ from rankpress.synthdata import (
     write_dataset,
     write_eval_dataset,
 )
+from rankpress.synthdata import _down_up, _gaussian_blur
 
 GEOM = (1, 16, 16)
 
@@ -79,6 +82,40 @@ class TestDistortions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DistortionSpec("salt-and-pepper", 1)
+
+
+class TestGaussianBlur:
+    # every sigma the generator uses: the distortion ladder, the ramp texture, and
+    # the band-limited noise draws from [0.8, 2.5] (radius 3 to 10)
+    SIGMAS = [0.6 * level for level in range(1, MAX_LEVEL + 1)] + [1.0, 0.8, 1.1, 1.6, 2.2, 2.5]
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_bit_identical_to_ndimage(self, sigma):
+        # extents from 4 to 48; below 2 * radius + 1 the reflection wraps more than once
+        rng = np.random.default_rng(int(100 * sigma))
+        for h, w in [(4, 4), (4, 9), (5, 7), (8, 6), (12, 12), (13, 16), (31, 24), (48, 48)]:
+            planes = rng.standard_normal((3, h, w))
+            expected = np.stack([ndimage.gaussian_filter(pl, sigma) for pl in planes])
+            assert _gaussian_blur(planes, sigma).tobytes() == expected.tobytes(), (h, w)
+            assert _gaussian_blur(planes[0], sigma).tobytes() == expected[0].tobytes(), (h, w)
+
+
+def _down_up_reference(plane, factor):
+    """One plane at a time, padded by ``np.pad``: the first form of the down-up."""
+    h, w = plane.shape
+    padded = np.pad(plane, ((0, (-h) % factor), (0, (-w) % factor)), mode="edge")
+    hh, ww = padded.shape
+    small = padded.reshape(hh // factor, factor, ww // factor, factor).mean(axis=(1, 3))
+    return np.repeat(np.repeat(small, factor, axis=0), factor, axis=1)[:h, :w]
+
+
+@pytest.mark.parametrize("factor", range(2, MAX_LEVEL + 2))
+def test_down_up_matches_per_plane_reference(factor):
+    rng = np.random.default_rng(factor)
+    for shape in [(1, 24, 24), (3, 13, 16), (2, 4, 7)]:
+        planes = rng.random(shape)
+        expected = np.stack([_down_up_reference(pl, factor) for pl in planes])
+        assert _down_up(planes, factor).tobytes() == expected.tobytes(), shape
 
 
 class TestPseudoMos:
