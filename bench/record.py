@@ -13,15 +13,22 @@ script. The file holds
   ``nets.layer_forward``, the op chain the forward pass runs for it; its
   backward starts from the sum of its output, and its input needs a gradient
   unless it is the first layer;
+- ``steps``: the milliseconds of one training step (``predict_batch``,
+  ranking BCE, ``backward`` and ``AdaMax.step``) of the same teacher and
+  student at batch 8, on random pairs: the median (``step_ms``) and the
+  quartiles (``step_ms_p25``, ``step_ms_p75``) over ``20 * reps`` steps, after
+  one untimed step;
 - ``stages``: the wall seconds of each stage of one 2-epoch pipeline
   (``epochs=2, lam=1.0``), and the student's ``ratio.txt``;
+- ``stages_acceptance``: the same for one pipeline at the acceptance
+  configuration, ``PipelineConfig()``;
 - ``machine``: CPU count, Python, numpy and BLAS versions, the OpenBLAS core
   that numpy's BLAS picked for this CPU (``openblas_core``; criterion 6 moves
   with it), the BLAS thread count, the git commit of the checkout, and
   ``cli_import_s``: the median wall seconds over ``--reps`` fresh processes of
   ``python -c "import rankpress.cli"``, the start-up every command pays.
 
-Both parts use the default pipeline configuration. Like ``perfbench``, the
+Every part uses the default pipeline configuration. Like ``perfbench``, the
 recorder runs one BLAS thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 """
 
@@ -49,10 +56,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rankpress import autodiff as ad  # noqa: E402
-from rankpress import nets, pipeline  # noqa: E402
+from rankpress import nets, optim, pipeline, synthdata  # noqa: E402
 
 STUDENT = {"conv_widths": (4, 6, 20), "dense_widths": (20,)}
 BATCHES = (8, 16)
+STEP_BATCH = 8
+STEPS_PER_REP = 20
 
 
 def _git(*args) -> str | None:
@@ -127,13 +136,39 @@ def time_layers(spec: nets.NetworkSpec, params: nets.ParameterSet, batch: int,
             t2 = time.perf_counter()
             forward.append(t1 - t0)
             backward.append(t2 - t1)
-        rows[layer.name] = {}
-        for what, seconds in (("forward", forward), ("backward", backward)):
-            p25, median, p75 = 1e3 * np.percentile(seconds, (25, 50, 75))
-            rows[layer.name].update({f"{what}_ms": median, f"{what}_ms_p25": p25,
-                                     f"{what}_ms_p75": p75})
+        rows[layer.name] = {**quartiles_ms("forward", forward),
+                            **quartiles_ms("backward", backward)}
         act = out.data
     return rows
+
+
+def quartiles_ms(what: str, seconds: list[float]) -> dict:
+    """The median of ``seconds`` as ``<what>_ms`` and its quartiles as ``<what>_ms_p25``
+    and ``<what>_ms_p75``, in milliseconds."""
+    p25, median, p75 = 1e3 * np.percentile(seconds, (25, 50, 75))
+    return {f"{what}_ms": median, f"{what}_ms_p25": p25, f"{what}_ms_p75": p75}
+
+
+def time_steps(cfg: pipeline.PipelineConfig, reps: int) -> dict:
+    """Milliseconds of one training step of the net of ``cfg`` on ``STEP_BATCH`` random
+    pairs: the forward of ``predict_batch``, ranking BCE, backward and the AdaMax step."""
+    spec, params = nets.build_teacher(cfg)
+    rng = np.random.default_rng(0)
+    batch = np.zeros(STEP_BATCH, synthdata.pair_dtype(spec.in_channels // 2, spec.height,
+                                                      spec.width))
+    batch["patches"] = rng.random(batch["patches"].shape, dtype=np.float32)
+    batch["label"] = rng.integers(0, 2, STEP_BATCH)
+    opt = optim.AdaMax(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    seconds = []
+    for _ in range(STEPS_PER_REP * reps + 1):  # the first step is not timed
+        for p in params.values():
+            p.zero_grad()
+        t0 = time.perf_counter()
+        loss = optim.ranking_bce_loss(optim.predict_batch(spec, params, batch), batch["label"])
+        ad.backward(loss)
+        opt.step()
+        seconds.append(time.perf_counter() - t0)
+    return quartiles_ms("step", seconds[1:])
 
 
 def time_stages(cfg: pipeline.PipelineConfig, work: Path) -> dict:
@@ -164,17 +199,21 @@ def time_stages(cfg: pipeline.PipelineConfig, work: Path) -> dict:
 
 def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = None) -> Path:
     """Write ``BENCH_<label>.json`` into ``outdir``; ``overrides`` are ``--set``
-    pairs of the CLI on top of the 2-epoch configuration, for a smaller run."""
+    pairs of the CLI on top of both the 2-epoch and the acceptance configuration,
+    for a smaller run."""
+    acceptance = pipeline.load_config(overrides=overrides)
     cfg = pipeline.load_config(overrides={"epochs": "2", "lam": "1.0", **(overrides or {})})
-    layers, shapes = {}, {}
+    layers, steps, shapes = {}, {"batch": STEP_BATCH}, {}
     for name, net_cfg in (("teacher", cfg), ("student", dataclasses.replace(cfg, **STUDENT))):
         spec, params = nets.build_teacher(net_cfg)
         shapes[name] = {"conv_widths": list(net_cfg.conv_widths),
                         "dense_widths": list(net_cfg.dense_widths), "patch": net_cfg.patch,
                         "params": nets.count_params(params), "flops": nets.count_flops(spec)}
         layers[name] = {str(b): time_layers(spec, params, b, reps) for b in BATCHES}
+        steps[name] = time_steps(net_cfg, reps)
     with tempfile.TemporaryDirectory(prefix="rankpress-bench-") as work:
-        stages = time_stages(cfg, Path(work))
+        stages = time_stages(cfg, Path(work) / "short")
+        stages_acceptance = time_stages(acceptance, Path(work) / "acceptance")
     result = {
         "label": label,
         "machine": machine(reps),
@@ -183,7 +222,9 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
         "reps": reps,
         "nets": shapes,
         "layers": layers,
+        "steps": steps,
         "stages": stages,
+        "stages_acceptance": stages_acceptance,
     }
     out = outdir / f"BENCH_{label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

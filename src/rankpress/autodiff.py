@@ -26,6 +26,7 @@ __all__ = [
     "no_grad",
     "add",
     "sub",
+    "half_difference",
     "mul",
     "conv2d",
     "dense",
@@ -70,7 +71,7 @@ class Tensor:
     ):
         self.data = np.asarray(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad
         self._parents = tuple(_parents)
         self._backward = _backward
         self._id = next(_counter)
@@ -187,18 +188,24 @@ def no_grad():
 def _node(data, parents: tuple[Tensor, ...], vjps: tuple[Callable, ...]) -> Tensor:
     """The output of an op: ``vjps[i](g)`` is the gradient that reaches ``parents[i]``.
 
-    Backward runs a vjp only for a parent that requires a gradient. Inside
-    :func:`no_grad` the output is a leaf that keeps neither.
+    The output requires a gradient when a parent does, and backward runs a vjp
+    only for a parent that requires one. Without such a parent, or inside
+    :func:`no_grad`, the output is a leaf that keeps neither.
     """
-    if not _recording:
-        return Tensor(data)
-
-    def bw(g):
-        for parent, vjp in zip(parents, vjps):
+    if _recording:
+        for parent in parents:
             if parent.requires_grad:
-                _accumulate(parent, vjp(g))
+                break
+        else:
+            return Tensor(data)
 
-    return Tensor(data, _parents=parents, _backward=bw)
+        def bw(g):
+            for parent, vjp in zip(parents, vjps):
+                if parent.requires_grad:
+                    _accumulate(parent, vjp(g))
+
+        return Tensor(data, True, parents, bw)
+    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +224,16 @@ def sub(a, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     return _node(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a.data.shape),
                                            lambda g: _unbroadcast(-g, b.data.shape)))
+
+
+def half_difference(a: Tensor) -> Tensor:
+    """``a[:n] - a[n:]`` for a 1-d ``a`` of 2n values: each of the first n minus its
+    partner in the second half."""
+    a = _as_tensor(a)
+    if a.data.ndim != 1 or a.data.shape[0] % 2:
+        raise ShapeError(f"half_difference needs a 1-d tensor of even length, got {a.data.shape}")
+    n = a.data.shape[0] // 2
+    return _node(a.data[:n] - a.data[n:], (a,), (lambda g: np.concatenate((g, -g)),))
 
 
 def mul(a, b) -> Tensor:

@@ -13,11 +13,10 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from . import autodiff as ad
 # backward and pair_accuracy are not called here: perfbench/tracing.py wraps them in this module.
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, _node, backward
 from .nets import NetworkSpec, ParameterSet
-from .optim import (EPS_PROB, AdaMax, descend, fit, pair_accuracy, predict_batch,
+from .optim import (EPS_PROB, AdaMax, clamped, descend, fit, pair_accuracy, predict_batch,
                     predict_probabilities, ranking_bce_loss)
 from .pruning import StructureError
 
@@ -43,47 +42,38 @@ class BatchPredictions:
             raise ValueError("teacher, student, and labels must share length B")
 
 
-def _clamped(p: Tensor) -> Tensor:
-    """``p`` clamped to [eps, 1 - eps]. Every term reads the student through it:
-    a saturated probability then passes no gradient, where unclamped products
-    such as ``p * p`` and the sigmoid's ``p (1 - p)`` would carry float32
-    subnormals, slow to compute with, into every layer below."""
-    return ad.clip(p, EPS_PROB, 1.0 - EPS_PROB)
-
-
 def instance_loss(bp: BatchPredictions) -> Tensor:
     """Mean BCE with the teacher probability as the soft target."""
-    t = np.clip(bp.teacher, EPS_PROB, 1.0 - EPS_PROB)
-    s = _clamped(bp.student)
-    return -ad.tmean(t * ad.log(s) + (1.0 - t) * ad.log(1.0 - s))
+    return ranking_bce_loss(bp.student, np.clip(bp.teacher, EPS_PROB, 1.0 - EPS_PROB))
 
 
 def batch_loss(bp: BatchPredictions) -> Tensor:
     """Squared Frobenius distance of the B x B Gram matrices, scaled by 1/B."""
-    b = bp.teacher.shape[0]
-    gram_t = np.outer(bp.teacher, bp.teacher)
-    s = _clamped(bp.student)
-    s_col = ad.reshape(s, (b, 1))
-    s_row = ad.reshape(s, (1, b))
-    diff = ad.sub(Tensor(gram_t.astype(s.dtype)), ad.mul(s_col, s_row))
-    return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / b)
+    s, inside = clamped(bp.student.data)
+    b = s.shape[0]
+    diff = np.outer(bp.teacher, bp.teacher).astype(s.dtype) - np.outer(s, s)
+    loss = (diff * diff).sum() * s.dtype.type(1.0 / b)
+    # the Gram difference is symmetric, so both factors of s s^T give diff @ s
+    return _node(loss, (bp.student,), (lambda g: g * inside * (diff @ s) * (-4.0 / b),))
 
 
 def class_loss(bp: BatchPredictions) -> Tensor:
     """Squared difference of the scalar self-inner-products (binary case)."""
-    tt = float(np.dot(bp.teacher, bp.teacher))
-    s = _clamped(bp.student)
-    ss = ad.tsum(ad.mul(s, s))
-    diff = ad.sub(ss, tt)
-    return ad.mul(diff, diff)
+    s, inside = clamped(bp.student.data)
+    diff = (s * s).sum() - s.dtype.type(np.dot(bp.teacher, bp.teacher))
+    return _node(diff * diff, (bp.student,), (lambda g: g * inside * s * (4.0 * diff),))
 
 
-def multilevel_loss(bp: BatchPredictions) -> Tensor:
-    return instance_loss(bp) + batch_loss(bp) + class_loss(bp)
+def objective(bp: BatchPredictions, alpha: float) -> tuple[Tensor, ...]:
+    """The instance, batch, class and ranking terms, then their total
+    ``instance + batch + class + alpha * rank``, in ``DISTILL_TERMS`` order."""
+    li, lb, lc = instance_loss(bp), batch_loss(bp), class_loss(bp)
+    lr = ranking_bce_loss(bp.student, bp.labels)
+    return li, lb, lc, lr, li + lb + lc + alpha * lr
 
 
 def total_loss(bp: BatchPredictions, alpha: float = 0.1) -> Tensor:
-    return multilevel_loss(bp) + alpha * ranking_bce_loss(bp.student, bp.labels)
+    return objective(bp, alpha)[-1]
 
 
 def teacher_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray) -> np.ndarray:
@@ -117,14 +107,10 @@ def distill_train(
     p_teacher = teacher_probabilities(teacher_spec, teacher_params, train_set)
 
     def step(epoch, batch, idx):
-        labels = batch["label"]
         p_s = predict_batch(student_spec, student_params, batch)
-        bp = BatchPredictions(p_teacher[idx], p_s, labels)
-        li, lb, lc = instance_loss(bp), batch_loss(bp), class_loss(bp)
-        lr_term = ranking_bce_loss(p_s, labels)
-        loss = li + lb + lc + cfg.alpha * lr_term
-        descend(loss, opt)
-        return loss, [float(t.data) for t in (li, lb, lc, lr_term, loss)]
+        terms = objective(BatchPredictions(p_teacher[idx], p_s, batch["label"]), cfg.alpha)
+        descend(terms[-1], opt)
+        return terms[-1], [float(t.data) for t in terms]
 
     def summarize(records):
         sums = [0.0] * len(DISTILL_TERMS)

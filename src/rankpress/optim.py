@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, _node, backward
 from .nets import PREDICT_ROWS, NetworkSpec, ParameterSet, score_batch
 
 if TYPE_CHECKING:
@@ -30,15 +30,29 @@ class NumericalError(ArithmeticError):
     """Training hit a non-finite loss or gradient."""
 
 
+def clamped(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities ``p`` clamped to [eps, 1 - eps], and the mask where the clamp is
+    inactive. A loss passes gradient to ``p`` only through that mask: a saturated
+    probability gets none, where unclamped products such as ``p * p`` and the
+    sigmoid's ``p (1 - p)`` would carry float32 subnormals, slow to compute with,
+    into every layer below."""
+    return np.clip(p, EPS_PROB, 1.0 - EPS_PROB), (p > EPS_PROB) & (p < 1.0 - EPS_PROB)
+
+
 def ranking_bce_loss(p: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross entropy of preference probabilities against labels.
+    """Mean binary cross entropy of preference probabilities against labels, hard
+    or soft, as one node.
 
     Probabilities are clamped to [eps, 1-eps] so saturated predictions stay
     finite; the clamp kills the gradient only where it is active.
     """
-    labels = np.asarray(labels, dtype=p.dtype)
-    pc = ad.clip(p, EPS_PROB, 1.0 - EPS_PROB)
-    return -ad.tmean(labels * ad.log(pc) + (1.0 - labels) * ad.log(1.0 - pc))
+    pc, inside = clamped(p.data)
+    # each target and its complement rounded once from the labels' own precision
+    hit = np.asarray(labels, dtype=p.dtype)
+    miss = np.asarray(1.0 - np.asarray(labels), dtype=p.dtype)
+    rest = 1.0 - pc
+    loss = -np.mean(hit * np.log(pc) + miss * np.log(rest))
+    return _node(loss, (p,), (lambda g: g * inside * ((miss / rest - hit / pc) / pc.size),))
 
 
 class AdaMax:
@@ -111,19 +125,24 @@ def weight_l1(params: ParameterSet) -> float:
 
 
 def predict_batch(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) -> Tensor:
-    """Preference probabilities for ``pair_dtype`` records, differentiable w.r.t. params."""
+    """Preference probabilities for ``pair_dtype`` records, differentiable w.r.t. params.
+
+    One forward scores the 2B rows: (r1, d1) of every record, then (r2, d2);
+    the probability is the sigmoid of the first half's scores minus the second's.
+    """
     patches = batch["patches"]
-    s1 = score_batch(spec, params, patches[:, 0], patches[:, 1])
-    s2 = score_batch(spec, params, patches[:, 2], patches[:, 3])
-    return ad.sigmoid(s1 - s2)
+    ref = np.concatenate((patches[:, 0], patches[:, 2]))
+    dist = np.concatenate((patches[:, 1], patches[:, 3]))
+    return ad.sigmoid(ad.half_difference(score_batch(spec, params, ref, dist)))
 
 
 def predict_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray) -> np.ndarray:
-    """``predict_batch`` over ``pairs``, ``PREDICT_ROWS`` at a time and without a
-    backward graph, as a plain array."""
+    """``predict_batch`` over ``pairs`` without a backward graph, as a plain array:
+    ``PREDICT_ROWS // 2`` pairs, so ``PREDICT_ROWS`` rows, per forward."""
+    chunk = PREDICT_ROWS // 2
     with ad.no_grad():
-        probs = [predict_batch(spec, params, pairs[start : start + PREDICT_ROWS]).data
-                 for start in range(0, len(pairs), PREDICT_ROWS)]
+        probs = [predict_batch(spec, params, pairs[start : start + chunk]).data
+                 for start in range(0, len(pairs), chunk)]
     return np.concatenate(probs) if probs else np.empty(0)
 
 

@@ -30,14 +30,12 @@ def average_ranks(v: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values share the average rank."""
     v = np.asarray(v, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    # the sorted positions where a run of equal values starts, then the end
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    first, last = bounds[:-1], bounds[1:] - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

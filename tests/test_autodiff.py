@@ -137,6 +137,13 @@ class TestBackward:
         assert np.array_equal(w.grad, np.full((1, 4), 3.0))
 
 
+def test_half_difference_subtracts_the_second_half():
+    assert np.array_equal(ad.half_difference(t([5.0, 7.0, 1.0, 2.0])).data, [4.0, 5.0])
+    for shape in ((3,), (2, 2)):
+        with pytest.raises(ShapeError, match="even length"):
+            ad.half_difference(t(np.zeros(shape)))
+
+
 class TestTape:
     def _graph(self):
         a = t([1.0], grad=True)
@@ -152,6 +159,15 @@ class TestTape:
         for node in order:
             for parent in node._parents:
                 assert pos[parent._id] < pos[node._id]
+
+    def test_an_op_on_constants_alone_is_a_leaf(self):
+        a, c = t([1.0, 2.0], grad=True), t([3.0, 4.0])
+        const = ad.mul(c, c)
+        assert not const.requires_grad and not const._parents and const._backward is None
+        out = ad.mul(const, a)
+        assert out.requires_grad and out._parents == (const, a)
+        ad.backward(ad.tsum(out))
+        assert np.array_equal(a.grad, [9.0, 16.0]) and c.grad is None and const.grad is None
 
     def test_each_node_visited_once(self):
         _, _, _, d = self._graph()
@@ -203,7 +219,7 @@ class TestGradientCheck:
             def bw(g):
                 a.grad = (a.grad if a.grad is not None else 0) + g * 3.0 * a.data  # wrong factor
 
-            return Tensor(out_data, _parents=(a,), _backward=bw)
+            return Tensor(out_data, requires_grad=True, _parents=(a,), _backward=bw)
 
         err = ad.gradient_check(lambda: ad.tsum(bad_square(w)), {"w": w})
         assert err > 1e-2
@@ -241,6 +257,7 @@ OP_GRADIENT_CASES = {
         lambda p: ad.conv2d(p["x"], p["k"], p["kb"], stride=2, padding=1),
     ),
     "avg_pool2-odd-extent": ({"x": (7, 3, 5, 2)}, lambda p: ad.avg_pool2(p["x"])),
+    "half_difference": ({"a": (6,)}, lambda p: ad.half_difference(p["a"])),
     "dense-input-grad": (
         {"x": (3, 5), "w": (2, 5), "b": (2,)},
         lambda p: ad.dense(p["x"], p["w"], p["b"]),

@@ -35,8 +35,13 @@ def test_record_writes_every_section(tmp_path):
             for r in rows.values():
                 for what in ("forward", "backward"):
                     assert 0 < r[f"{what}_ms_p25"] <= r[f"{what}_ms"] <= r[f"{what}_ms_p75"]
-    seconds = result["stages"]["seconds"]
-    assert list(seconds) == ["gen_data", "train_teacher", "sparsify", "prune", "distill",
-                             "eval", "total"]
-    assert seconds["total"] == sum(v for k, v in seconds.items() if k != "total")
-    assert float(result["stages"]["ratio"]["params_ratio"]) <= 1.0
+    assert result["steps"]["batch"] == 8
+    for net in names:
+        step = result["steps"][net]
+        assert 0 < step["step_ms_p25"] <= step["step_ms"] <= step["step_ms_p75"]
+    for section in ("stages", "stages_acceptance"):
+        seconds = result[section]["seconds"]
+        assert list(seconds) == ["gen_data", "train_teacher", "sparsify", "prune", "distill",
+                                 "eval", "total"]
+        assert seconds["total"] == sum(v for k, v in seconds.items() if k != "total")
+        assert float(result[section]["ratio"]["params_ratio"]) <= 1.0

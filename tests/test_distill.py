@@ -9,12 +9,12 @@ from rankpress.distill import (
     class_loss,
     distill_train,
     instance_loss,
-    multilevel_loss,
+    objective,
     teacher_probabilities,
     total_loss,
 )
 from rankpress.nets import build_teacher
-from rankpress.optim import pair_accuracy, predict_probabilities, ranking_bce_loss
+from rankpress.optim import EPS_PROB, pair_accuracy, predict_probabilities, ranking_bce_loss
 from rankpress.pipeline import PipelineConfig
 from rankpress.pruning import StructureError
 from rankpress.synthdata import generate_sources, make_pair_dataset
@@ -80,14 +80,18 @@ class TestClassLoss:
 class TestTotals:
     def test_multilevel_is_sum_of_parts(self):
         x = bp([1.0, 0.0], [0.5, 0.5])
-        parts = sum(float(f(x).data) for f in (instance_loss, batch_loss, class_loss))
-        assert float(multilevel_loss(x).data) == pytest.approx(parts, abs=1e-12)
+        *terms, total = objective(x, alpha=0.0)
+        parts = [float(f(x).data) for f in (instance_loss, batch_loss, class_loss)]
+        assert [float(term.data) for term in terms[:3]] == parts
+        assert float(total.data) == pytest.approx(sum(parts), abs=1e-12)
 
     def test_total_adds_weighted_ranking_term(self):
         x = bp([1.0, 0.0], [0.5, 0.5], labels=[1.0, 0.0])
         rank = float(ranking_bce_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0])).data)
-        expected = float(multilevel_loss(x).data) + 0.1 * rank
-        assert float(total_loss(x, alpha=0.1).data) == pytest.approx(expected, abs=1e-12)
+        multilevel = sum(float(f(x).data) for f in (instance_loss, batch_loss, class_loss))
+        assert float(objective(x, alpha=0.1)[3].data) == rank
+        assert float(total_loss(x, alpha=0.1).data) == pytest.approx(multilevel + 0.1 * rank,
+                                                                     abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -103,6 +107,59 @@ class TestTotals:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BatchPredictions(np.array([0.5]), np.array([0.5, 0.5]), np.array([1.0]))
+
+
+def _composed_term(name, bp):
+    """A term of the objective as a graph of elementary ops, each clamping the student."""
+    s = ad.clip(bp.student, EPS_PROB, 1.0 - EPS_PROB)
+    if name in ("instance", "rank"):
+        y = np.clip(bp.teacher, EPS_PROB, 1.0 - EPS_PROB) if name == "instance" else bp.labels
+        return -ad.tmean(y * ad.log(s) + (1.0 - y) * ad.log(1.0 - s))
+    if name == "batch":
+        b = len(bp.teacher)
+        gram_t = Tensor(np.outer(bp.teacher, bp.teacher).astype(s.dtype))
+        diff = ad.sub(gram_t, ad.mul(ad.reshape(s, (b, 1)), ad.reshape(s, (1, b))))
+        return ad.mul(ad.tsum(ad.mul(diff, diff)), 1.0 / b)
+    diff = ad.sub(ad.tsum(ad.mul(s, s)), float(np.dot(bp.teacher, bp.teacher)))
+    return ad.mul(diff, diff)
+
+
+TERMS = {"instance": instance_loss, "batch": batch_loss, "class": class_loss,
+         "rank": lambda x: ranking_bce_loss(x.student, x.labels)}
+
+
+class TestFusedTerms:
+    @pytest.mark.parametrize("name", TERMS)
+    def test_one_node_matches_the_composed_graph(self, name):
+        # float32 as in training; the third student value sits below the clamp
+        rng = np.random.default_rng(4)
+        teacher = rng.random(6) * 0.8 + 0.1
+        labels = (rng.random(6) > 0.5).astype(np.float64)
+        raw = (rng.random(6) * 0.9 + 0.05).astype(np.float32)
+        raw[2] = 1e-9
+        grads = []
+        for term in (TERMS[name], lambda x: _composed_term(name, x)):
+            student = Tensor(raw.copy(), requires_grad=True)
+            loss = term(BatchPredictions(teacher, student, labels))
+            ad.backward(loss)
+            grads.append((loss, student.grad))
+        (fused, g_fused), (composed, g_composed) = grads
+        assert fused.data.dtype == np.float32 and fused.data.tobytes() == composed.data.tobytes()
+        assert not fused._parents[0]._parents  # one node above the student
+        assert g_fused.dtype == np.float32 and g_fused[2] == 0.0
+        np.testing.assert_allclose(g_fused, g_composed, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("name", TERMS)
+    def test_gradient_matches_finite_differences(self, name):
+        rng = np.random.default_rng(5)
+        teacher = rng.random(5) * 0.8 + 0.1
+        labels = (rng.random(5) > 0.5).astype(np.float64)
+        raw = Tensor(rng.standard_normal(5), requires_grad=True)
+        err = ad.gradient_check(
+            lambda: TERMS[name](BatchPredictions(teacher, ad.sigmoid(raw), labels)), {"raw": raw})
+        assert err < 1e-6
+
+
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +247,13 @@ class TestDistillTrain:
         teacher_probabilities(t_spec, t_params, train)
         pair_accuracy(t_spec, t_params, val)
         assert all(p.requires_grad and p.grad is None for p in t_params.values())
-        assert len(outputs) == 4  # two forwards per chunk of pairs, one chunk each
+        # one forward per chunk of pairs, scoring both pairs of each: 2 rows per pair
+        chunk = nets.PREDICT_ROWS // 2
+        expected = [2 * len(pairs[start : start + chunk])
+                    for pairs in (train, val) for start in range(0, len(pairs), chunk)]
+        assert [len(out.data) for out in outputs] == expected
+        # 48 train pairs: a full chunk and a short one; 16 val pairs: one short chunk
+        assert expected == [nets.PREDICT_ROWS, 32, 32]
         assert all(not out._parents and out._backward is None for out in outputs)
 
     def test_teacher_forwarded_once_per_stage(self, distill_setup, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from rankpress import autodiff as ad
 from rankpress import optim
 from rankpress.autodiff import Tensor
-from rankpress.nets import build_teacher
+from rankpress.nets import PREDICT_ROWS, build_teacher, init_params, score_batch
 from rankpress.optim import (
     AdaMax,
     NumericalError,
@@ -12,11 +12,14 @@ from rankpress.optim import (
     nonzero_weight_count,
     orthant_step,
     pair_accuracy,
+    predict_batch,
+    predict_probabilities,
     prox_l1_step,
     ranking_bce_loss,
     train_ranking,
 )
 from rankpress.pipeline import PipelineConfig
+from rankpress.pruning import build_pruning_plan, compute_density, prune_network
 from rankpress.synthdata import generate_sources, make_pair_dataset
 
 
@@ -201,3 +204,68 @@ class TestTraining:
         assert log[0]["epoch"] == 0 and log[0]["diverged"] == 1
         assert all(np.isnan(log[0][k]) for k in ("loss", "acc", "val_acc"))
         assert {k: p.data.tobytes() for k, p in params.items()} == before
+
+
+def _two_forwards(spec, params, batch):
+    """sigmoid(s1 - s2) from one forward per pair of each record."""
+    patches = batch["patches"]
+    with ad.no_grad():
+        s1 = score_batch(spec, params, patches[:, 0], patches[:, 1])
+        s2 = score_batch(spec, params, patches[:, 2], patches[:, 3])
+        return ad.sigmoid(ad.sub(s1, s2)).data
+
+
+@pytest.fixture(scope="module")
+def teacher_and_student(tiny_task):
+    _, train, _ = tiny_task
+    cfg = PipelineConfig(channels=1, patch=12, conv_widths=(8, 12), dense_widths=(8,), seed=2)
+    spec, params = build_teacher(cfg)
+    student = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+    prox_l1_step(student, 1.0, 0.1)  # zero the smaller weights, so whole channels go
+    s_spec, s_params = prune_network(spec, student, build_pruning_plan(
+        spec, compute_density(spec, student), student))
+    assert s_spec.layers[0].out_ch < spec.layers[0].out_ch
+    return [(spec, params), (s_spec, s_params)], train
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("net", ["teacher", "student"])
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 8), slice(40, 45)])
+    def test_one_forward_equals_two(self, teacher_and_student, net, rows):
+        nets, train = teacher_and_student
+        spec, params = nets[["teacher", "student"].index(net)]
+        batch = train[rows]
+        got = predict_batch(spec, params, batch)
+        assert got.data.shape == (len(batch),) and got.data.dtype == np.float32
+        np.testing.assert_allclose(got.data, _two_forwards(spec, params, batch), rtol=0, atol=1e-6)
+
+    def test_forward_only_chunks_equal_two_forwards(self, teacher_and_student):
+        nets, train = teacher_and_student
+        assert len(train) % (PREDICT_ROWS // 2)  # a short final chunk
+        for spec, params in nets:
+            np.testing.assert_allclose(predict_probabilities(spec, params, train),
+                                       _two_forwards(spec, params, train), rtol=0, atol=1e-6)
+
+    def test_ranking_gradient_matches_finite_differences(self, tiny_task):
+        cfg, train, _ = tiny_task
+        spec, _ = build_teacher(cfg)
+        params = init_params(spec, seed=3, dtype=np.float64)
+        batch = train[:5]
+
+        def fwd():
+            return ranking_bce_loss(predict_batch(spec, params, batch), batch["label"])
+
+        assert ad.gradient_check(fwd, params, n_coords=20) < 1e-4
+
+    def test_training_step_scores_once(self, tiny_task, monkeypatch):
+        cfg, train, _ = tiny_task
+        rows = []
+
+        def counting(spec, params, ref, dist):
+            rows.append(len(ref))
+            return score_batch(spec, params, ref, dist)
+
+        monkeypatch.setattr(optim, "score_batch", counting)
+        spec, params = build_teacher(cfg)
+        train_ranking(spec, params, train[:20], PipelineConfig(epochs=1, batch_size=8, seed=0))
+        assert rows == [16, 16, 8]

@@ -24,6 +24,20 @@ from rankpress.stats import (
 from rankpress.synthdata import KINDS, generate_sources, make_eval_dataset
 
 
+def _loop_ranks(v):
+    """The former ``average_ranks``: a walk over the stably sorted values."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestRanks:
     def test_no_ties(self):
         assert np.array_equal(average_ranks(np.array([30.0, 10.0, 20.0])), [3, 1, 2])
@@ -36,6 +50,21 @@ class TestRanks:
     def test_matches_scipy_rankdata(self, vals):
         v = np.array(vals, dtype=np.float64)
         assert np.allclose(average_ranks(v), scipy.stats.rankdata(v), atol=1e-12)
+
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False), max_size=40, unique=True),  # untied
+        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0, np.inf]), max_size=40),  # tied
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_average_rankdata(self, vals):
+        v = np.array(vals, dtype=np.float64)
+        assert np.array_equal(average_ranks(v), scipy.stats.rankdata(v, method="average"))
+
+    @given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0, np.inf, np.nan]), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_the_loop_also_with_nan(self, vals):
+        v = np.array(vals, dtype=np.float64)
+        assert average_ranks(v).tobytes() == _loop_ranks(v).tobytes()
 
 
 class TestSrocc:
