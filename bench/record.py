@@ -18,13 +18,20 @@ script. The file holds
   student at batch 8, on random pairs: the median (``step_ms``) and the
   quartiles (``step_ms_p25``, ``step_ms_p75``) over ``20 * reps`` steps, after
   one untimed step;
+- ``scoring``: the items per second of ``stats.predict_scores`` on
+  ``SCORING_ITEMS`` (1,536) random eval items, for the same teacher and
+  student: the median (``items_per_s``) and the quartiles
+  (``items_per_s_p25``, ``items_per_s_p75``) over ``reps`` passes, after one
+  untimed pass;
 - ``stages``: the wall seconds of each stage of one 2-epoch pipeline
   (``epochs=2, lam=1.0``), and the student's ``ratio.txt``;
 - ``stages_acceptance``: the same for one pipeline at the acceptance
   configuration, ``PipelineConfig()``;
 - ``machine``: CPU count, Python, numpy and BLAS versions, the OpenBLAS core
   that numpy's BLAS picked for this CPU (``openblas_core``; criterion 6 moves
-  with it), the BLAS thread count, the git commit of the checkout, and
+  with it), the BLAS thread count that library reports, the lanes a scoring
+  pass of ``SCORING_ITEMS`` runs in (``forward_lanes``), the git commit of the
+  checkout, and
   ``cli_import_s``: the median wall seconds over ``--reps`` fresh processes of
   ``python -c "import rankpress.cli"``, the start-up every command pays.
 
@@ -40,7 +47,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import platform
@@ -56,12 +62,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rankpress import autodiff as ad  # noqa: E402
-from rankpress import nets, optim, pipeline, synthdata  # noqa: E402
+from rankpress import nets, optim, pipeline, stats, synthdata  # noqa: E402
 
 STUDENT = {"conv_widths": (4, 6, 20), "dense_widths": (20,)}
 BATCHES = (8, 16)
 STEP_BATCH = 8
 STEPS_PER_REP = 20
+SCORING_ITEMS = 1536
 
 
 def _git(*args) -> str | None:
@@ -70,18 +77,6 @@ def _git(*args) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
-
-
-def openblas_core() -> str | None:
-    """The kernel set OpenBLAS chose for this CPU at load time, from the library
-    numpy's wheel bundles; ``None`` for a numpy built against another BLAS."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
-    if not libs:
-        return None
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
 
 
 def cli_import_seconds(reps: int) -> float:
@@ -105,8 +100,9 @@ def machine(reps: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "openblas_core": openblas_core(),
-        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "openblas_core": nets.openblas_core(),
+        "blas_threads": nets.blas_threads(),
+        "forward_lanes": nets.forward_lanes(-(-SCORING_ITEMS // nets.PREDICT_ROWS)),
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "cli_import_s": cli_import_seconds(reps),
@@ -171,6 +167,25 @@ def time_steps(cfg: pipeline.PipelineConfig, reps: int) -> dict:
     return quartiles_ms("step", seconds[1:])
 
 
+def time_scoring(cfg: pipeline.PipelineConfig, reps: int) -> dict:
+    """Items per second of ``stats.predict_scores`` with the net of ``cfg`` on
+    ``SCORING_ITEMS`` random eval items: the median and the quartiles over ``reps``
+    passes, after one untimed pass."""
+    spec, params = nets.build_teacher(cfg)
+    items = np.zeros(SCORING_ITEMS, synthdata.eval_dtype(spec.in_channels // 2, spec.height,
+                                                         spec.width))
+    rng = np.random.default_rng(0)
+    items["ref"] = rng.random(items["ref"].shape, dtype=np.float32)
+    items["dist"] = rng.random(items["dist"].shape, dtype=np.float32)
+    rates = []
+    for _ in range(reps + 1):
+        t0 = time.perf_counter()
+        stats.predict_scores(spec, params, items)
+        rates.append(SCORING_ITEMS / (time.perf_counter() - t0))
+    p25, median, p75 = np.percentile(rates[1:], (25, 50, 75))
+    return {"items_per_s": median, "items_per_s_p25": p25, "items_per_s_p75": p75}
+
+
 def time_stages(cfg: pipeline.PipelineConfig, work: Path) -> dict:
     """Wall seconds of each stage of one pipeline run in ``work``."""
     p = pipeline
@@ -203,7 +218,7 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
     for a smaller run."""
     acceptance = pipeline.load_config(overrides=overrides)
     cfg = pipeline.load_config(overrides={"epochs": "2", "lam": "1.0", **(overrides or {})})
-    layers, steps, shapes = {}, {"batch": STEP_BATCH}, {}
+    layers, steps, shapes, scoring = {}, {"batch": STEP_BATCH}, {}, {"items": SCORING_ITEMS}
     for name, net_cfg in (("teacher", cfg), ("student", dataclasses.replace(cfg, **STUDENT))):
         spec, params = nets.build_teacher(net_cfg)
         shapes[name] = {"conv_widths": list(net_cfg.conv_widths),
@@ -211,6 +226,7 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
                         "params": nets.count_params(params), "flops": nets.count_flops(spec)}
         layers[name] = {str(b): time_layers(spec, params, b, reps) for b in BATCHES}
         steps[name] = time_steps(net_cfg, reps)
+        scoring[name] = time_scoring(net_cfg, reps)
     with tempfile.TemporaryDirectory(prefix="rankpress-bench-") as work:
         stages = time_stages(cfg, Path(work) / "short")
         stages_acceptance = time_stages(acceptance, Path(work) / "acceptance")
@@ -223,6 +239,7 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
         "nets": shapes,
         "layers": layers,
         "steps": steps,
+        "scoring": scoring,
         "stages": stages,
         "stages_acceptance": stages_acceptance,
     }

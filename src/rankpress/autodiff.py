@@ -4,7 +4,8 @@ Define-by-run: every operation builds its output through ``_node``, which
 records the inputs and one gradient rule (vjp) per input. Calling
 :func:`backward` on a scalar output replays the recorded tape in reverse
 topological order and accumulates gradients into every tensor created with
-``requires_grad=True``. Inside :func:`no_grad` no tape is recorded.
+``requires_grad=True``. Inside :func:`no_grad` no tape is recorded, in the
+thread that entered it.
 
 The image layers (``conv2d``, ``avg_pool2``, ``global_avg_pool``) take
 height-major (H, C, W, N) activations, batch innermost, so that their copies
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +45,13 @@ __all__ = [
 ]
 
 _counter = itertools.count()
-_recording = True  # False inside ``no_grad``
+
+
+class _Mode(threading.local):
+    recording = True  # False inside ``no_grad``, in the thread that entered it
+
+
+_mode = _Mode()
 
 
 class ShapeError(ValueError):
@@ -124,10 +132,16 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
-    else:
+    """Add ``g`` into ``t.grad``. A first gradient that owns its memory, in ``t``'s dtype,
+    becomes ``t.grad`` as it is. A view, which ``_unbroadcast``, ``reshape`` and the
+    broadcasts of ``tsum`` hand on, is copied: a later ``+=`` would write through it into
+    another tensor's gradient."""
+    if t.grad is not None:
         t.grad += g
+    elif g.base is None and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = g.astype(t.data.dtype, copy=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -175,14 +189,14 @@ def no_grad():
     """Run a forward-only pass: every op output inside is a leaf without a backward rule.
 
     No gradient flows from such an output back to its inputs, and no op keeps
-    its inputs alive for a backward pass. Leaving restores the previous mode.
+    its inputs alive for a backward pass. The mode is the calling thread's own:
+    other threads keep recording. Leaving restores the previous mode.
     """
-    global _recording
-    previous, _recording = _recording, False
+    previous, _mode.recording = _mode.recording, False
     try:
         yield
     finally:
-        _recording = previous
+        _mode.recording = previous
 
 
 def _node(data, parents: tuple[Tensor, ...], vjps: tuple[Callable, ...]) -> Tensor:
@@ -192,7 +206,7 @@ def _node(data, parents: tuple[Tensor, ...], vjps: tuple[Callable, ...]) -> Tens
     only for a parent that requires one. Without such a parent, or inside
     :func:`no_grad`, the output is a leaf that keeps neither.
     """
-    if _recording:
+    if _mode.recording:
         for parent in parents:
             if parent.requires_grad:
                 break

@@ -14,8 +14,13 @@ dense head an (N, C) matrix. Kernels stay OIHW.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +32,8 @@ if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
 
-# records per forward of a forward-only pass (scoring, accuracy, teacher probabilities)
+# records per forward of a forward-only pass (scoring, accuracy, teacher probabilities);
+# the scores' bits depend on it, not on how many lanes run the chunks
 PREDICT_ROWS = 64
 
 
@@ -218,6 +224,111 @@ def pair_input(spec: NetworkSpec, ref: np.ndarray, dist: np.ndarray, dtype=None)
 def score_batch(spec: NetworkSpec, params: ParameterSet, ref: np.ndarray, dist: np.ndarray) -> Tensor:
     dtype = next(iter(params.values())).data.dtype
     return forward_features(spec, params, pair_input(spec, ref, dist, dtype=dtype))
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy's wheel bundles, loaded by ``ctypes``: the library numpy
+    already runs, so its state is numpy's. None for a numpy built against another BLAS."""
+    import ctypes
+
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        corename, threads = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):  # not loadable, or an OpenBLAS without these calls
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return lib
+
+
+def openblas_core() -> Optional[str]:
+    """The kernel set OpenBLAS chose for this CPU at load time, or None without numpy's OpenBLAS."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
+
+
+def blas_threads() -> Optional[int]:
+    """The threads each BLAS call runs on now, or None without numpy's OpenBLAS."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def forward_lanes(chunks: int) -> int:
+    """The lanes a forward-only pass of ``chunks`` chunks runs in: one per usable CPU, at
+    most one per chunk, when each BLAS call runs on one thread; otherwise 1, as also when
+    the BLAS thread count cannot be read. Two lanes over two-thread BLAS calls on two CPUs
+    scored 10% slower than one lane."""
+    if blas_threads() != 1:
+        return 1
+    return max(1, min(chunks, _usable_cpus()))
+
+
+@functools.cache
+def _lane_pool():
+    # imported and created on the first pass with two lanes: importing the package starts no
+    # thread. At most one helper per other CPU: each new thread would take a malloc arena of
+    # its own, and a pass can start before the last pass's helper counts itself idle.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="rankpress-lane")
+
+
+def forward_chunks(forward: Callable[[slice], np.ndarray], n: int, chunk: int) -> np.ndarray:
+    """``forward(rows)`` for each ``chunk``-record slice of ``range(n)``, without a backward
+    graph, concatenated in slice order (an empty float64 array for ``n = 0``).
+
+    The slices run in ``forward_lanes`` lanes, the calling thread and pool threads, each
+    claiming the next slice until none is left; one lane is a plain loop. numpy releases the GIL in BLAS and in large
+    copies, so the lanes overlap. Every lane enters ``no_grad`` itself and runs in a copy of
+    the caller's context, so an ``np.errstate`` of the caller holds in it too. A slice runs
+    the same ops in any lane, so the result is the same bytes for any lane count. A slice
+    that raises stops the claims, and the exception of the first failing slice is raised,
+    as a loop over the slices would raise it.
+    """
+    starts = range(0, n, chunk)
+    lanes = forward_lanes(len(starts))
+    if lanes == 1:
+        with ad.no_grad():
+            out = [forward(slice(start, min(start + chunk, n))) for start in starts]
+        return np.concatenate(out) if out else np.empty(0)
+    out = [None] * len(starts)
+    failed: dict[int, Exception] = {}
+    todo = iter(range(len(starts)))
+    claim = threading.Lock()
+
+    def lane():
+        with ad.no_grad():
+            while not failed:
+                with claim:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                try:
+                    out[k] = forward(slice(starts[k], min(starts[k] + chunk, n)))
+                except Exception as exc:
+                    failed[k] = exc
+
+    helpers = [_lane_pool().submit(contextvars.copy_context().run, lane)
+               for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:
+        with claim:  # an interrupted caller leaves no slice for the helpers to claim
+            for _ in todo:
+                pass
+        for helper in helpers:
+            helper.result()
+    if failed:
+        raise failed[min(failed)]
+    return np.concatenate(out)
 
 
 def sequence_quality(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _node, backward
-from .nets import PREDICT_ROWS, NetworkSpec, ParameterSet, score_batch
+from .nets import PREDICT_ROWS, NetworkSpec, ParameterSet, forward_chunks, score_batch
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -137,13 +137,10 @@ def predict_batch(spec: NetworkSpec, params: ParameterSet, batch: np.ndarray) ->
 
 
 def predict_probabilities(spec: NetworkSpec, params: ParameterSet, pairs: np.ndarray) -> np.ndarray:
-    """``predict_batch`` over ``pairs`` without a backward graph, as a plain array:
+    """``predict_batch`` over ``pairs`` by :func:`nets.forward_chunks`, as a plain array:
     ``PREDICT_ROWS // 2`` pairs, so ``PREDICT_ROWS`` rows, per forward."""
-    chunk = PREDICT_ROWS // 2
-    with ad.no_grad():
-        probs = [predict_batch(spec, params, pairs[start : start + chunk]).data
-                 for start in range(0, len(pairs), chunk)]
-    return np.concatenate(probs) if probs else np.empty(0)
+    return forward_chunks(lambda rows: predict_batch(spec, params, pairs[rows]).data,
+                          len(pairs), PREDICT_ROWS // 2)
 
 
 def pair_accuracy(spec: NetworkSpec, params: ParameterSet, dataset: np.ndarray) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad
-from .nets import PREDICT_ROWS, NetworkSpec, ParameterSet, count_flops, count_params, score_batch
+from .nets import (PREDICT_ROWS, NetworkSpec, ParameterSet, count_flops, count_params,
+                   forward_chunks, score_batch)
 from .synthdata import eval_subsets
 
 
@@ -275,15 +275,14 @@ class EvalReport:
 
 
 def predict_scores(spec: NetworkSpec, params: ParameterSet, items: np.ndarray) -> np.ndarray:
-    """Quality scores of ``eval_dtype`` records, ``PREDICT_ROWS`` at a time and
-    without a backward graph."""
-    preds = []
-    with no_grad():
-        for start in range(0, len(items), PREDICT_ROWS):
-            chunk = items[start : start + PREDICT_ROWS]
-            preds.append(score_batch(spec, params, chunk["ref"], chunk["dist"]).data
-                         .astype(np.float64))
-    return np.concatenate(preds)
+    """Quality scores of ``eval_dtype`` records, ``PREDICT_ROWS`` at a time by
+    :func:`nets.forward_chunks`."""
+
+    def forward(rows):
+        chunk = items[rows]
+        return score_batch(spec, params, chunk["ref"], chunk["dist"]).data.astype(np.float64)
+
+    return forward_chunks(forward, len(items), PREDICT_ROWS)
 
 
 def evaluate_model(

@@ -397,3 +397,39 @@ def test_no_grad_nests_and_restores_the_mode_after_an_exception():
     assert loss.requires_grad
     ad.backward(loss)
     assert np.array_equal(a.grad, [2.0, 4.0])
+
+
+def test_no_grad_leaves_other_threads_recording():
+    import threading
+
+    a = t([1.0, 2.0], grad=True)
+    entered, release, outs = threading.Event(), threading.Event(), []
+
+    def forward_only():
+        with ad.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            outs.append(ad.mul(a, a))
+
+    worker = threading.Thread(target=forward_only)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        recorded = ad.mul(a, a)  # while the worker is inside no_grad
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert recorded.requires_grad and recorded._parents == (a, a)
+    assert not outs[0].requires_grad and not outs[0]._parents
+
+
+def test_accumulate_gives_each_parent_its_own_gradient_buffer():
+    a, b = t([1.0, 2.0, 3.0], grad=True), t([4.0, 5.0, 6.0], grad=True)
+    s = ad.add(a, b)  # hands the same upstream gradient to both parents
+    ad.backward(ad.tsum(ad.mul(s, s)))
+    assert np.array_equal(a.grad, [10.0, 14.0, 18.0]) and np.array_equal(b.grad, a.grad)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, s.grad) and not np.shares_memory(b.grad, s.grad)
+    a.grad += 1.0  # so an optimizer writing into one gradient leaves the other alone
+    assert np.array_equal(b.grad, [10.0, 14.0, 18.0])

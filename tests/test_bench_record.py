@@ -22,8 +22,10 @@ def test_record_writes_every_section(tmp_path):
     result = json.loads(out.read_text())
     assert result["label"] == "smoke" and result["config"]["epochs"] == 2
     assert result["config"]["lam"] == 1.0 and result["config"]["patch"] == 12
-    for key in ("nproc", "numpy", "blas", "openblas_core", "blas_threads", "git_sha"):
+    for key in ("nproc", "numpy", "blas", "openblas_core", "blas_threads", "forward_lanes",
+                "git_sha"):
         assert key in result["machine"]
+    assert result["machine"]["forward_lanes"] >= 1
     assert 0 < result["machine"]["cli_import_s"] < 30
     names = {"teacher": ["conv1", "conv2", "conv3", "fc1", "fc2"],
              "student": ["conv1", "conv2", "conv3", "fc1", "fc2"]}
@@ -39,6 +41,10 @@ def test_record_writes_every_section(tmp_path):
     for net in names:
         step = result["steps"][net]
         assert 0 < step["step_ms_p25"] <= step["step_ms"] <= step["step_ms_p75"]
+    assert result["scoring"]["items"] == 1536
+    for net in names:
+        rate = result["scoring"][net]
+        assert 0 < rate["items_per_s_p25"] <= rate["items_per_s"] <= rate["items_per_s_p75"]
     for section in ("stages", "stages_acceptance"):
         seconds = result[section]["seconds"]
         assert list(seconds) == ["gen_data", "train_teacher", "sparsify", "prune", "distill",
