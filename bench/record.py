@@ -27,6 +27,11 @@ script. The file holds
   (``epochs=2, lam=1.0``), and the student's ``ratio.txt``;
 - ``stages_acceptance``: the same for one pipeline at the acceptance
   configuration, ``PipelineConfig()``;
+- ``eval``: the wall seconds of ``pipeline.evaluate`` on the eval items and the
+  two checkpoints (distilled, teacher) of the ``stages`` run: the median
+  (``seconds``) and the quartiles (``seconds_p25``, ``seconds_p75``) over
+  ``reps`` runs, after one untimed run, and the median share of a run spent in
+  its logistic fits (``fit_share``, the time of ``stats._solve_fits``);
 - ``machine``: CPU count, Python, numpy and BLAS versions, the OpenBLAS core
   that numpy's BLAS picked for this CPU (``openblas_core``; criterion 6 moves
   with it), the BLAS thread count that library reports, the lanes a scoring
@@ -212,6 +217,36 @@ def time_stages(cfg: pipeline.PipelineConfig, work: Path) -> dict:
     return {"seconds": seconds, "ratio": ratio}
 
 
+def time_eval(cfg: pipeline.PipelineConfig, work: Path, reps: int) -> dict:
+    """Seconds of ``pipeline.evaluate`` on the outputs of ``time_stages(cfg, work)``:
+    the median and the quartiles over ``reps`` runs, after one untimed run, and the
+    median share of a run spent in ``stats._solve_fits``."""
+    eval_path = work / "data" / "eval.rpev"
+    ckpts = [work / "distill" / "distilled.ckpt", work / "teacher" / "teacher.ckpt"]
+    solve_fits, fit_seconds = stats._solve_fits, []
+
+    def timed_fits(*args):
+        t0 = time.perf_counter()
+        try:
+            return solve_fits(*args)
+        finally:
+            fit_seconds.append(time.perf_counter() - t0)
+
+    stats._solve_fits = timed_fits
+    try:
+        seconds = []
+        for _ in range(reps + 1):
+            t0 = time.perf_counter()
+            pipeline.evaluate(cfg, eval_path, ckpts, work / "eval_timed")
+            seconds.append(time.perf_counter() - t0)
+    finally:
+        stats._solve_fits = solve_fits
+    p25, median, p75 = np.percentile(seconds[1:], (25, 50, 75))
+    return {"items": len(synthdata.read_eval_dataset(eval_path)), "seconds": median,
+            "seconds_p25": p25, "seconds_p75": p75,
+            "fit_share": float(np.median(np.divide(fit_seconds[1:], seconds[1:])))}
+
+
 def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = None) -> Path:
     """Write ``BENCH_<label>.json`` into ``outdir``; ``overrides`` are ``--set``
     pairs of the CLI on top of both the 2-epoch and the acceptance configuration,
@@ -229,6 +264,7 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
         scoring[name] = time_scoring(net_cfg, reps)
     with tempfile.TemporaryDirectory(prefix="rankpress-bench-") as work:
         stages = time_stages(cfg, Path(work) / "short")
+        evaluation = time_eval(cfg, Path(work) / "short", reps)
         stages_acceptance = time_stages(acceptance, Path(work) / "acceptance")
     result = {
         "label": label,
@@ -242,6 +278,7 @@ def record(label: str, reps: int, outdir: Path = ROOT, overrides: dict | None = 
         "scoring": scoring,
         "stages": stages,
         "stages_acceptance": stages_acceptance,
+        "eval": evaluation,
     }
     out = outdir / f"BENCH_{label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

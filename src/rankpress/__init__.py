@@ -11,7 +11,6 @@ from .nets import (
     build_teacher,
     count_flops,
     count_params,
-    sequence_quality,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "build_teacher",
     "count_flops",
     "count_params",
-    "sequence_quality",
 ]
 
 __version__ = "0.1.0"

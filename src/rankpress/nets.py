@@ -21,7 +21,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -329,28 +329,6 @@ def forward_chunks(forward: Callable[[slice], np.ndarray], n: int, chunk: int) -
     if failed:
         raise failed[min(failed)]
     return np.concatenate(out)
-
-
-def sequence_quality(
-    spec: NetworkSpec,
-    params: ParameterSet,
-    ref_frames: Sequence[np.ndarray],
-    dist_frames: Sequence[np.ndarray],
-    sampler: Optional[Callable[[Sequence[np.ndarray], Sequence[np.ndarray]], list]] = None,
-) -> float:
-    """Mean patch score over co-located sampled patches of an aligned sequence."""
-    if len(ref_frames) != len(dist_frames):
-        raise ShapeError("reference and distorted sequences differ in length")
-    if sampler is None:
-        pairs = list(zip(ref_frames, dist_frames))
-    else:
-        pairs = sampler(ref_frames, dist_frames)
-    if not pairs:
-        raise ValueError("no patches sampled from sequence")
-    refs = np.stack([np.asarray(r) for r, _ in pairs])
-    dists = np.stack([np.asarray(d) for _, d in pairs])
-    with ad.no_grad():
-        return float(score_batch(spec, params, refs, dists).data.mean())
 
 
 def count_params(params: ParameterSet, nonzero_only: bool = False) -> int:

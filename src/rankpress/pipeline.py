@@ -54,6 +54,9 @@ class PipelineConfig:
                     "batch_size", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("seed", "val_pairs_per_source"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         for key in ("beta1", "beta2"):
@@ -271,11 +274,14 @@ def eval_datasets_from_file(eval_path) -> dict[str, np.ndarray]:
 def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir) -> str:
     outdir = _ensure_outdir(outdir)
     items = synthdata.read_eval_dataset(eval_path)
-    reports = []
-    for path in ckpt_paths:
-        spec, params, _ = ckpt.load_checkpoint(path)
-        _check_geometry(items, spec, eval_path)
-        reports.append(stats.evaluate_model(spec, params, items, name=Path(path).stem))
+
+    def models():
+        for path in ckpt_paths:
+            spec, params, _ = ckpt.load_checkpoint(path)
+            _check_geometry(items, spec, eval_path)
+            yield Path(path).stem, spec, params
+
+    reports = stats.evaluate_models(models(), items)
     lines = []
     for report in reports:
         lines.append(f"model {report.name}: params={report.params_total} "

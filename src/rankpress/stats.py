@@ -164,61 +164,141 @@ class LogisticFit:
     linear_fallback: bool
 
 
-def _residual(b: np.ndarray, x: np.ndarray, t: np.ndarray):
-    """``t`` minus the logistic at ``b``, with the ``x - b3`` and the sigmoid
+def _residual(b: np.ndarray, x: np.ndarray, t: np.ndarray, out=None):
+    """``t`` minus the logistic at ``b`` (four parameters, or four rows of one
+    parameter per point), with the ``x - b3`` and the sigmoid
     ``1 / (1 + exp(b2 (x - b3)))`` it was computed from."""
     xc = x - b[2]
-    g = 1.0 / (1.0 + np.exp(np.clip(b[1] * xc, -500, 500)))
-    return t - (b[0] * (0.5 - g) + b[3]), xc, g
+    g = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(b[1] * xc, -500.0), 500.0)))
+    return np.subtract(t, b[0] * (0.5 - g) + b[3], out=out), xc, g
 
 
-def _lm(b0: np.ndarray, x: np.ndarray, t: np.ndarray, max_iter: int = 200) -> tuple[np.ndarray, float]:
-    """Damped (Levenberg-Marquardt-style) least squares; SSE never increases.
+class _Layout:
+    """The points of the live problems of ``_lm``, a problem's points contiguous
+    and the largest point count first, with the buffers a round writes and, per
+    run of problems with one point count, the views its matmuls read and write."""
 
-    Each Jacobian reuses the sigmoid and ``x - b3`` of the point it is taken at,
-    which the previous accepted step already computed.
-    """
-    b = b0.copy()
-    r, xc, g = _residual(b, x, t)
-    sse = float(r @ r)
-    mu = 1e-3
-    jac = np.empty((x.size, 4))
-    jac[:, 3] = 1.0
-    for _ in range(max_iter):
+    def __init__(self, x: np.ndarray, t: np.ndarray, counts: np.ndarray):
+        self.x, self.t, self.counts = x, t, counts
+        self.r = np.empty(x.size)
+        self.jac = np.empty((x.size, 4))
+        self.jac[:, 3] = 1.0
+        self.sse = np.empty(counts.size)
+        self.h, self.grad = np.empty((counts.size, 4, 4)), np.empty((counts.size, 4, 1))
+        self.sse_views, self.normal_views = [], []
+        k0 = p0 = 0
+        for k1 in range(1, counts.size + 1):
+            if k1 < counts.size and counts[k1] == counts[k0]:
+                continue
+            k, n = k1 - k0, int(counts[k0])
+            p1 = p0 + k * n
+            rows, jac = self.r[p0:p1].reshape(k, n), self.jac[p0:p1].reshape(k, n, 4)
+            self.sse_views.append((rows[:, None, :], rows[:, :, None], self.sse[k0:k1, None, None]))
+            self.normal_views.append((jac.transpose(0, 2, 1), jac, rows[:, :, None],
+                                      self.grad[k0:k1], self.h[k0:k1]))
+            k0, p0 = k1, p1
+
+    def keep(self, rows: np.ndarray) -> "_Layout":
+        """The layout of the problems where ``rows`` is true."""
+        points = np.repeat(rows, self.counts)
+        return _Layout(self.x[points], self.t[points], self.counts[rows])
+
+    def trial(self, b: np.ndarray):
+        """Each problem's SSE at its row of ``b``, with the per-point parameters,
+        sigmoid and ``x - b3`` the residuals in ``self.r`` were computed from."""
+        bp = np.repeat(b.T, self.counts, axis=1)  # each problem's parameters at its points
+        _, xc, g = _residual(bp, self.x, self.t, out=self.r)
+        for rows, cols, out in self.sse_views:
+            np.matmul(rows, cols, out=out)
+        return self.sse, bp, xc, g
+
+    def normal_equations(self, bp, xc, g):
+        """Each problem's ``jac.T @ jac`` and ``jac.T @ r`` at the last trial."""
         gg = g * (1.0 - g)
-        np.subtract(0.5, g, out=jac[:, 0])
-        np.multiply(b[0] * gg, xc, out=jac[:, 1])
-        np.multiply(-b[0] * b[1], gg, out=jac[:, 2])
-        grad = jac.T @ r
-        h = jac.T @ jac
-        damped = h.copy()
-        accepted = False
-        for _ in range(50):
-            np.fill_diagonal(damped, h.diagonal() + mu)
+        np.subtract(0.5, g, out=self.jac[:, 0])
+        np.multiply(bp[0] * gg, xc, out=self.jac[:, 1])
+        np.multiply(-bp[0] * bp[1], gg, out=self.jac[:, 2])
+        for jac_t, jac, r, grad, h in self.normal_views:
+            np.matmul(jac_t, r, out=grad)
+            np.matmul(jac_t, jac, out=h)
+        return self.h, self.grad
+
+
+def _lm(problems, max_iter: int = 200) -> list[tuple[np.ndarray, float]]:
+    """Damped (Levenberg-Marquardt-style) least squares of every ``(b0, x, t)`` in
+    ``problems``, all in one loop; SSE never increases.
+
+    Each round makes one damped trial of every live problem. A problem stops on an
+    improvement below ``1e-14 * max(sse, 1)``, after ``max_iter`` accepted steps or
+    after 50 rejected trials in a row, and its points leave the arrays in that
+    round. A problem's iterates are bit for bit those it gets solved alone:
+    elementwise ops do not depend on a point's position, ``np.linalg.solve`` runs
+    one LAPACK ``gesv`` per matrix of a stack, and each reduction is one
+    ``np.matmul`` over the problems of one point count, so each problem's products
+    run the BLAS kernel they would run alone. The Jacobian of an accepted step
+    reuses the sigmoid and ``x - b3`` of its trial.
+    """
+    if not problems:
+        return []
+    order = sorted(range(len(problems)), key=lambda i: -problems[i][1].size)
+    idx = np.array(order, dtype=np.intp)
+    lay = _Layout(np.concatenate([problems[i][1] for i in order]),
+                  np.concatenate([problems[i][2] for i in order]),
+                  np.array([problems[i][1].size for i in order], dtype=np.intp))
+    b = np.array([problems[i][0] for i in order], dtype=np.float64).reshape(-1, 4)
+    out = [None] * len(problems)
+    # a rejected trial may overflow or divide by zero; its SSE check rejects it
+    with np.errstate(all="ignore"):
+        sse, bp, xc, g = lay.trial(b)
+        sse = sse.copy()
+        h, grad = (a.copy() for a in lay.normal_equations(bp, xc, g))
+        mu = np.full(len(order), 1e-3)
+        steps = np.zeros(len(order), dtype=np.intp)
+        fails = np.zeros(len(order), dtype=np.intp)  # rejected trials since the last step
+        done = np.full(len(order), max_iter <= 0)
+        damped = h.copy()  # h with mu added to its diagonal
+        while True:
+            if np.count_nonzero(done):
+                for k in np.flatnonzero(done):
+                    out[idx[k]] = (b[k].copy(), float(sse[k]))
+                keep = ~done
+                if not np.count_nonzero(keep):
+                    return out
+                lay = lay.keep(keep)
+                idx, b, sse, mu, steps, fails, h, grad, damped = (
+                    a[keep] for a in (idx, b, sse, mu, steps, fails, h, grad, damped))
+            np.add(h.reshape(-1, 16)[:, ::5], mu[:, None], out=damped.reshape(-1, 16)[:, ::5])
             try:
                 delta = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            b_new = b + delta
-            r_new, xc_new, g_new = _residual(b_new, x, t)
-            sse_new = float(r_new @ r_new)
-            if np.isfinite(sse_new) and sse_new <= sse:
-                improved = sse - sse_new
-                b, r, sse, xc, g = b_new, r_new, sse_new, xc_new, g_new
-                mu = max(mu / 3.0, 1e-12)
-                accepted = True
-                break
-            mu *= 10.0
-        if not accepted:
-            break
-        if improved < 1e-14 * max(sse, 1.0):
-            break
-    return b, sse
+                # solved one by one, a singular matrix gives NaN: a rejected trial
+                delta = np.full_like(grad, np.nan)
+                for k in range(len(delta)):
+                    try:
+                        delta[k] = np.linalg.solve(damped[k], grad[k])
+                    except np.linalg.LinAlgError:
+                        pass
+            b_new = b + delta[:, :, 0]
+            sse_new, bp, xc, g = lay.trial(b_new)
+            ok = np.isfinite(sse_new) & (sse_new <= sse)
+            improved = sse - sse_new
+            np.copyto(b, b_new, where=ok[:, None])
+            np.copyto(sse, sse_new, where=ok)
+            mu = np.where(ok, np.maximum(mu / 3.0, 1e-12), mu * 10.0)
+            steps += ok
+            fails = np.where(ok, 0, fails + 1)
+            done = np.where(ok, (improved < 1e-14 * np.maximum(sse, 1.0)) | (steps == max_iter),
+                            fails == 50)
+            fresh = ok & ~done
+            if np.count_nonzero(fresh):
+                h_new, grad_new = lay.normal_equations(bp, xc, g)
+                np.copyto(h, h_new, where=fresh[:, None, None])
+                np.copyto(damped, h_new, where=fresh[:, None, None])
+                np.copyto(grad, grad_new, where=fresh[:, None, None])
 
 
-def logistic_fit(pred, truth, max_iter: int = 200) -> LogisticFit:
-    """Least-squares fit of a 4-parameter logistic mapping pred -> truth."""
+def _fit_problem(pred, truth):
+    """The checked points of one logistic fit, its two starts and its least-squares line."""
     x = np.asarray(pred, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
     if x.size < 5:
@@ -236,23 +316,34 @@ def logistic_fit(pred, truth, max_iter: int = 200) -> LogisticFit:
     slope, intercept = np.polyfit(x, t, 1) if np.ptp(x) > 0 else (0.0, float(t.mean()))
     b2_small = 1e-6 / sx
     b_linear = np.array([4.0 * slope / b2_small, b2_small, float(x.mean()), intercept + slope * float(x.mean())])
+    return x, t, (b_init, b_linear), (slope, intercept)
 
-    candidates = []
-    for b0 in (b_init, b_linear):
-        try:
-            candidates.append(_lm(b0, x, t, max_iter))
-        except ArithmeticError:
+
+def _solve_fits(fits, max_iter: int = 200) -> list[LogisticFit]:
+    """Every start of every ``_fit_problem`` in one ``_lm`` call; each fit keeps its
+    start of least SSE, or its line if that start is not finite."""
+    solved = _lm([(b0, x, t) for x, t, starts, _ in fits for b0 in starts], max_iter)
+    out = []
+    for k, (x, t, _, (slope, intercept)) in enumerate(fits):
+        b, sse = min(solved[2 * k:2 * k + 2], key=lambda c: c[1])
+        if not np.all(np.isfinite(b)):
+            r = t - (slope * x + intercept)
+            out.append(LogisticFit((slope, 0.0, 0.0, intercept), r, float(r @ r), True))
             continue
-    if not candidates:
-        slope_r = np.array([slope, 0.0, 0.0, intercept])
-        r = t - (slope * x + intercept)
-        return LogisticFit(tuple(slope_r), r, float(r @ r), True)
-    b, sse = min(candidates, key=lambda c: c[1])
-    if not np.all(np.isfinite(b)):
-        r = t - (slope * x + intercept)
-        return LogisticFit((slope, 0.0, 0.0, intercept), r, float(r @ r), True)
-    r = _residual(b, x, t)[0]
-    return LogisticFit(tuple(float(v) for v in b), r, sse, False)
+        r = _residual(b, x, t)[0]
+        out.append(LogisticFit(tuple(float(v) for v in b), r, sse, False))
+    return out
+
+
+def logistic_fits(pairs, max_iter: int = 200) -> list[LogisticFit]:
+    """Least-squares fits of a 4-parameter logistic mapping pred -> truth, one per
+    ``(pred, truth)`` of ``pairs``, solved together."""
+    return _solve_fits([_fit_problem(pred, truth) for pred, truth in pairs], max_iter)
+
+
+def logistic_fit(pred, truth, max_iter: int = 200) -> LogisticFit:
+    """Least-squares fit of a 4-parameter logistic mapping pred -> truth."""
+    return logistic_fits([(pred, truth)], max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +376,32 @@ def predict_scores(spec: NetworkSpec, params: ParameterSet, items: np.ndarray) -
     return forward_chunks(forward, len(items), PREDICT_ROWS)
 
 
-def evaluate_model(
-    spec: NetworkSpec,
-    params: ParameterSet,
-    items: np.ndarray,
-    name: str = "model",
-    predictor=None,
-) -> EvalReport:
-    """Score ``items`` once and evaluate "all" and each kind subset of them;
-    ``predictor`` overrides the network forward pass (used to sanity-check the
-    harness against known-perfect predictions)."""
-    if len(items) == 0:
-        raise StatsError("evaluate_model requires a non-empty eval set")
-    if predictor is None:
-        preds = predict_scores(spec, params, items)
-    else:
-        preds = np.asarray(predictor(items), dtype=np.float64)
+def evaluate_models(models, items: np.ndarray, predictor=None) -> list[EvalReport]:
+    """Score ``items`` once per ``(name, spec, params)`` of ``models`` and evaluate
+    "all" and each kind subset of them, with every logistic fit solved in one
+    ``_lm`` call after the last model. ``models`` is consumed in order, so a lazy
+    one loads each model just before it is scored. ``predictor`` overrides the
+    network forward pass (used to sanity-check the harness against known-perfect
+    predictions)."""
     truth = items["mos"].astype(np.float64)
-    results = {}
-    for ds_name, rows in eval_subsets(items).items():
-        results[ds_name] = DatasetEval(srocc(preds[rows], truth[rows]),
-                                       logistic_fit(preds[rows], truth[rows]))
-    return EvalReport(
-        name=name,
-        params_total=count_params(params),
-        params_nonzero=count_params(params, nonzero_only=True),
-        flops=count_flops(spec),
-        datasets=results,
-    )
+    subsets = eval_subsets(items)
+    counted, sroccs, fits = [], [], []
+    for name, spec, params in models:
+        if len(items) == 0:
+            raise StatsError("evaluate_models requires a non-empty eval set")
+        if predictor is None:
+            preds = predict_scores(spec, params, items)
+        else:
+            preds = np.asarray(predictor(items), dtype=np.float64)
+        for rows in subsets.values():
+            sroccs.append(srocc(preds[rows], truth[rows]))
+            fits.append(_fit_problem(preds[rows], truth[rows]))
+        counted.append((name, count_params(params), count_params(params, nonzero_only=True),
+                            count_flops(spec)))
+    fitted = iter(zip(sroccs, _solve_fits(fits)))
+    return [EvalReport(name, total, nonzero, flops,
+                       {ds_name: DatasetEval(*next(fitted)) for ds_name in subsets})
+            for name, total, nonzero, flops in counted]
 
 
 @dataclass(frozen=True)

@@ -51,3 +51,7 @@ def test_record_writes_every_section(tmp_path):
                                  "eval", "total"]
         assert seconds["total"] == sum(v for k, v in seconds.items() if k != "total")
         assert float(result[section]["ratio"]["params_ratio"]) <= 1.0
+    evaluation = result["eval"]
+    assert evaluation["items"] == 24  # one source, four kinds, six levels
+    assert 0 < evaluation["seconds_p25"] <= evaluation["seconds"] <= evaluation["seconds_p75"]
+    assert 0 < evaluation["fit_share"] < 1

@@ -162,6 +162,9 @@ BAD_CONFIG_VALUES = {
     "even-kernel": ("kernel", ["gen-data", "--set", "kernel=4"]),
     "negative-lam": ("lam", ["gen-data", "--set", "lam=-1"]),
     "nan-alpha": ("alpha", ["gen-data", "--set", "alpha=nan"]),
+    "negative-seed": ("seed", ["gen-data", "--set", "seed=-1"]),
+    "negative-val-pairs": ("val_pairs_per_source",
+                           ["gen-data", "--set", "val_pairs_per_source=-1"]),
 }
 
 

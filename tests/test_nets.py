@@ -13,7 +13,6 @@ from rankpress.nets import (
     init_params,
     pair_input,
     score_batch,
-    sequence_quality,
 )
 from rankpress.optim import predict_batch
 from rankpress.pipeline import PipelineConfig
@@ -153,16 +152,6 @@ class TestCounts:
         conv = 2 * 3 * 3 * 2 * 4 * 8 * 8
         head = 2 * 4 * 1
         assert count_flops(spec) == conv + head
-
-
-def test_sequence_quality_averages_frames(small_net):
-    cfg, (spec, params) = small_net
-    rng = np.random.default_rng(6)
-    refs = [rng.random((1, 16, 16)) for _ in range(4)]
-    dists = [rng.random((1, 16, 16)) for _ in range(4)]
-    q = sequence_quality(spec, params, refs, dists)
-    per_frame = [score_batch(spec, params, r[None], d[None]).data[0] for r, d in zip(refs, dists)]
-    assert q == pytest.approx(np.mean(per_frame), rel=1e-5)
 
 
 def test_bad_config_rejected():
