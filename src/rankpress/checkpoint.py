@@ -148,5 +148,7 @@ def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
     params: ParameterSet = {}
     for name, (shape, offset) in tensors.items():
         arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
         params[name] = Tensor(arr.reshape(shape).astype(dtype), requires_grad=True)
     return spec, params, meta

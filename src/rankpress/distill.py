@@ -93,7 +93,6 @@ def distill_train(
     train_set: np.ndarray,
     cfg: PipelineConfig,
     val_set: Optional[np.ndarray] = None,
-    log_path=None,
 ) -> list[dict]:
     """Train the student on the multi-level objective, the ranking term weighted
     by ``cfg.alpha``; the teacher stays frozen.
@@ -119,7 +118,7 @@ def distill_train(
         return {k: v / len(records) for k, v in zip(DISTILL_TERMS, sums)}
 
     log = fit(student_spec, student_params, train_set, cfg, 0xF0, step, summarize,
-              DISTILL_FIELDS, val_set, log_path)
+              DISTILL_FIELDS, val_set)
     for k, p in teacher_params.items():
         if not np.array_equal(p.data, teacher_before[k]):
             raise StructureError(f"teacher parameter {k} mutated")

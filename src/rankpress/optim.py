@@ -10,8 +10,6 @@ statistics.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -169,7 +167,7 @@ def descend(loss: Tensor, opt: AdaMax):
 
 def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, cfg: PipelineConfig,
         stream: int, step: Callable, summarize: Callable, fields: list[str],
-        val_set: Optional[np.ndarray] = None, log_path=None) -> list[dict]:
+        val_set: Optional[np.ndarray] = None) -> list[dict]:
     """The epoch loop of every training phase.
 
     Each epoch visits ``train_set`` in the permutation seeded by
@@ -178,8 +176,8 @@ def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, cfg: Pip
     zeroed; it returns the batch's loss tensor and a record. ``summarize``
     turns the epoch's records into the loss columns of its log row. A
     ``NumericalError`` from ``step`` restores the last completed epoch's
-    parameters, logs one ``diverged=1`` row of NaNs and stops. The rows
-    (``fields`` in order) go to ``log_path`` as CSV.
+    parameters, logs one ``diverged=1`` row of NaNs and stops. Returns the
+    rows, one per epoch, with the keys ``fields``; it writes nothing.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -213,11 +211,6 @@ def fit(spec: NetworkSpec, params: ParameterSet, train_set: np.ndarray, cfg: Pip
             "diverged": 0,
         })
         last_good = snapshot(params)
-    if log_path is not None:
-        with Path(log_path).open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(log)
     return log
 
 
@@ -231,7 +224,6 @@ def train_ranking(
     cfg: PipelineConfig,
     val_set: Optional[np.ndarray] = None,
     sparsify: bool = False,
-    log_path=None,
 ) -> list[dict]:
     """Train the ranking objective on ``pair_dtype`` records; with ``sparsify``
     adds the L1 machinery at weight ``cfg.lam``, which is read only then.
@@ -260,5 +252,4 @@ def train_ranking(
             "acc": sum(hits for _, hits in records) / len(train_set),
         }
 
-    return fit(spec, params, train_set, cfg, 0xE0, step, summarize, RANKING_FIELDS,
-               val_set, log_path)
+    return fit(spec, params, train_set, cfg, 0xE0, step, summarize, RANKING_FIELDS, val_set)

@@ -1,13 +1,16 @@
 """Pipeline stages behind the CLI: reproducible configs and on-disk artifacts.
 
 Every stage is a pure function of (config, input files) to output files;
-checkpoints are immutable and each stage writes new files.
+checkpoints are immutable and each stage writes new files. A stage's files
+appear together when it completes (see :class:`_stage`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -106,20 +109,59 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
                              for key, raw, where in entries})
 
 
-def write_effective_config(cfg: PipelineConfig, outdir: Path):
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name}={value}")
-    (outdir / "effective_config.txt").write_text("\n".join(lines) + "\n")
+def format_config(cfg: PipelineConfig) -> str:
+    """``cfg`` as the ``key=value`` lines that :func:`load_config` reads back."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return "".join(f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for key, v in values.items())
 
 
-def _ensure_outdir(outdir) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+def format_csv(fieldnames: list[str], rows: list[dict]) -> str:
+    """``rows`` as CSV under a header of ``fieldnames``, with ``\\r\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class _stage:
+    """``with _stage(cfg, outdir) as out:`` creates ``outdir`` and hands out the
+    stage's files, each under a temporary name in it. A clean exit adds
+    ``effective_config.txt`` and renames every temporary to its final name; an
+    exception deletes them, so no file under a final name changes."""
+
+    def __init__(self, cfg: PipelineConfig, outdir):
+        self.cfg, self.dir = cfg, Path(outdir)
+        self.files: dict[str, Path | None] = {}  # final name -> its temporary; None removes it
+
+    def __enter__(self):
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def path(self, name: str) -> Path:
+        """A temporary path that becomes ``name`` when the stage completes."""
+        return self.files.setdefault(name, self.dir / f".{name}.{os.getpid()}.tmp")
+
+    def text(self, name: str, text: str):
+        self.path(name).write_bytes(text.encode())
+
+    def remove(self, name: str):
+        """Remove ``name``, a file of an earlier run, when the stage completes."""
+        self.files[name] = None
+
+    def __exit__(self, exc_type, *_):
+        try:
+            if exc_type is None:
+                self.text("effective_config.txt", format_config(self.cfg))
+                for name, tmp in self.files.items():
+                    if tmp is None:
+                        (self.dir / name).unlink(missing_ok=True)
+                    else:
+                        os.replace(tmp, self.dir / name)
+        finally:  # after the renames only the temporaries of a failed stage are left
+            for tmp in filter(None, self.files.values()):
+                tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +173,6 @@ def gen_data(cfg: PipelineConfig, outdir) -> dict[str, Path]:
     if cfg.patch < synthdata.MIN_SOURCE_EXTENT:
         raise ConfigError(f"patch must be at least {synthdata.MIN_SOURCE_EXTENT} "
                           f"to generate sources, got {cfg.patch}")
-    outdir = _ensure_outdir(outdir)
     geometry = (cfg.channels, cfg.patch, cfg.patch)
     train_sources = synthdata.generate_sources(cfg.train_sources, geometry, seed=cfg.seed)
     val_sources = synthdata.generate_sources(cfg.val_sources, geometry, seed=cfg.seed + 1)
@@ -145,16 +186,12 @@ def gen_data(cfg: PipelineConfig, outdir) -> dict[str, Path]:
         cross_content=bool(cfg.cross_content),
     )
     eval_items = synthdata.make_eval_dataset(eval_sources, cfg.levels, seed=cfg.seed + 2)
-    paths = {
-        "train": outdir / "train.rpds",
-        "val": outdir / "val.rpds",
-        "eval": outdir / "eval.rpev",
-    }
-    synthdata.write_dataset(paths["train"], train)
-    synthdata.write_dataset(paths["val"], val)
-    synthdata.write_eval_dataset(paths["eval"], eval_items)
-    write_effective_config(cfg, outdir)
-    return paths
+    with _stage(cfg, outdir) as out:
+        synthdata.write_dataset(out.path("train.rpds"), train)
+        synthdata.write_dataset(out.path("val.rpds"), val)
+        synthdata.write_eval_dataset(out.path("eval.rpev"), eval_items)
+    return {"train": out.dir / "train.rpds", "val": out.dir / "val.rpds",
+            "eval": out.dir / "eval.rpev"}
 
 
 def _check_geometry(records: np.ndarray, spec, what) -> None:
@@ -178,91 +215,78 @@ def _load_pair_data(datadir, *specs):
 
 
 def train_teacher(cfg: PipelineConfig, datadir, outdir) -> Path:
-    outdir = _ensure_outdir(outdir)
-    spec, params = build_teacher(cfg)
-    train, val = _load_pair_data(datadir, spec)
-    log = optim.train_ranking(spec, params, train, cfg, val_set=val,
-                              log_path=outdir / "teacher_log.csv")
-    out = outdir / "teacher.ckpt"
-    completed = [row["epoch"] for row in log if not row["diverged"]]
-    last_epoch = completed[-1] if completed else -1
-    ckpt.save_checkpoint(out, spec, params, meta={"phase": "teacher", "epoch": last_epoch})
-    write_effective_config(cfg, outdir)
-    if log and log[-1].get("diverged"):
+    with _stage(cfg, outdir) as out:
+        spec, params = build_teacher(cfg)
+        train, val = _load_pair_data(datadir, spec)
+        log = optim.train_ranking(spec, params, train, cfg, val_set=val)
+        out.text("teacher_log.csv", format_csv(optim.RANKING_FIELDS, log))
+        last_epoch = max((row["epoch"] for row in log if not row["diverged"]), default=-1)
+        ckpt.save_checkpoint(out.path("teacher.ckpt"), spec, params,
+                             meta={"phase": "teacher", "epoch": last_epoch})
+    if log[-1]["diverged"]:
         raise optim.NumericalError("teacher training diverged")
-    return out
+    return out.dir / "teacher.ckpt"
 
 
 def sparsify(cfg: PipelineConfig, datadir, teacher_ckpt, outdir) -> Path:
-    outdir = _ensure_outdir(outdir)
-    spec, params, _meta = ckpt.load_checkpoint(teacher_ckpt)
-    expected = build_spec(cfg)
-    if spec.layers != expected.layers:
-        raise ConfigError(
-            "checkpoint shape does not match the configured teacher "
-            "(refusing a student-shaped or foreign checkpoint)"
-        )
-    train, val = _load_pair_data(datadir, spec)
-    log = optim.train_ranking(
-        spec, params, train, cfg, val_set=val, sparsify=True, log_path=outdir / "sparse_log.csv"
-    )
-    report = pruning.compute_density(spec, params)
-    pruning.write_density_report(outdir / "density.txt", report)
-    out = outdir / "sparse.ckpt"
-    ckpt.save_checkpoint(out, spec, params, meta={"phase": "sparse", "lambda": cfg.lam})
-    write_effective_config(cfg, outdir)
-    if log and log[-1].get("diverged"):
+    with _stage(cfg, outdir) as out:
+        spec, params, _meta = ckpt.load_checkpoint(teacher_ckpt)
+        if spec.layers != build_spec(cfg).layers:
+            raise ConfigError(
+                "checkpoint shape does not match the configured teacher "
+                "(refusing a student-shaped or foreign checkpoint)"
+            )
+        train, val = _load_pair_data(datadir, spec)
+        log = optim.train_ranking(spec, params, train, cfg, val_set=val, sparsify=True)
+        out.text("sparse_log.csv", format_csv(optim.RANKING_FIELDS, log))
+        report = pruning.compute_density(spec, params)
+        out.text("density.txt", pruning.format_density_report(report) + "\n")
+        ckpt.save_checkpoint(out.path("sparse.ckpt"), spec, params,
+                             meta={"phase": "sparse", "lambda": cfg.lam})
+    if log[-1]["diverged"]:
         raise optim.NumericalError("sparsity training diverged")
-    return out
+    return out.dir / "sparse.ckpt"
 
 
 def prune(cfg: PipelineConfig, sparse_ckpt, outdir) -> Path:
-    outdir = _ensure_outdir(outdir)
-    spec, params, _meta = ckpt.load_checkpoint(sparse_ckpt)
-    report = pruning.compute_density(spec, params)
-    plan = pruning.build_pruning_plan(spec, report, params)
-    student_spec, student_params = pruning.prune_network(spec, params, plan)
-    violations = pruning.validate_structure(student_spec, student_params)
-    if violations:
-        raise pruning.StructureError("; ".join(violations))
-    pruning.write_density_report(outdir / "density.txt", report)
-    pruning.write_plan(outdir / "plan.txt", plan)
-    out = outdir / "student.ckpt"
-    ckpt.save_checkpoint(out, student_spec, student_params, meta={"phase": "pruned"})
-    ratio = count_params(student_params) / count_params(params)
-    (outdir / "ratio.txt").write_text(
-        f"params_student={count_params(student_params)}\n"
-        f"params_teacher={count_params(params)}\n"
-        f"params_ratio={ratio:.6f}\n"
-        f"flops_student={count_flops(student_spec)}\n"
-        f"flops_teacher={count_flops(spec)}\n"
-        f"flops_ratio={count_flops(student_spec) / count_flops(spec):.6f}\n"
-    )
-    write_effective_config(cfg, outdir)
-    return out
+    with _stage(cfg, outdir) as out:
+        spec, params, _meta = ckpt.load_checkpoint(sparse_ckpt)
+        report = pruning.compute_density(spec, params)
+        plan = pruning.build_pruning_plan(spec, report, params)
+        student_spec, student_params = pruning.prune_network(spec, params, plan)
+        violations = pruning.validate_structure(student_spec, student_params)
+        if violations:
+            raise pruning.StructureError("; ".join(violations))
+        out.text("density.txt", pruning.format_density_report(report) + "\n")
+        out.text("plan.txt", pruning.format_plan(plan) + "\n")
+        ckpt.save_checkpoint(out.path("student.ckpt"), student_spec, student_params,
+                             meta={"phase": "pruned"})
+        counts = {"params": (count_params(student_params), count_params(params)),
+                  "flops": (count_flops(student_spec), count_flops(spec))}
+        out.text("ratio.txt", "".join(
+            f"{k}_student={s}\n{k}_teacher={t}\n{k}_ratio={s / t:.6f}\n"
+            for k, (s, t) in counts.items()))
+    return out.dir / "student.ckpt"
 
 
 def distill(cfg: PipelineConfig, datadir, teacher_ckpt, student_ckpt, outdir,
             freeze_check: bool = False) -> Path:
-    outdir = _ensure_outdir(outdir)
-    t_spec, t_params, _ = ckpt.load_checkpoint(teacher_ckpt)
-    s_spec, s_params, _ = ckpt.load_checkpoint(student_ckpt)
-    train, val = _load_pair_data(datadir, t_spec, s_spec)
-    for p in t_params.values():
-        p.requires_grad = False
-    hash_before = ckpt.checkpoint_hash(teacher_ckpt)
-    log = kd.distill_train(
-        t_spec, t_params, s_spec, s_params, train, cfg, val_set=val,
-        log_path=outdir / "distill_log.csv",
-    )
-    if freeze_check and ckpt.checkpoint_hash(teacher_ckpt) != hash_before:
-        raise pruning.StructureError("teacher checkpoint changed during distillation")
-    out = outdir / "distilled.ckpt"
-    ckpt.save_checkpoint(out, s_spec, s_params, meta={"phase": "distilled"})
-    write_effective_config(cfg, outdir)
-    if log and log[-1].get("diverged"):
+    with _stage(cfg, outdir) as out:
+        t_spec, t_params, _ = ckpt.load_checkpoint(teacher_ckpt)
+        s_spec, s_params, _ = ckpt.load_checkpoint(student_ckpt)
+        train, val = _load_pair_data(datadir, t_spec, s_spec)
+        for p in t_params.values():
+            p.requires_grad = False
+        hash_before = ckpt.checkpoint_hash(teacher_ckpt)
+        log = kd.distill_train(t_spec, t_params, s_spec, s_params, train, cfg, val_set=val)
+        if freeze_check and ckpt.checkpoint_hash(teacher_ckpt) != hash_before:
+            raise pruning.StructureError("teacher checkpoint changed during distillation")
+        out.text("distill_log.csv", format_csv(kd.DISTILL_FIELDS, log))
+        ckpt.save_checkpoint(out.path("distilled.ckpt"), s_spec, s_params,
+                             meta={"phase": "distilled"})
+    if log[-1]["diverged"]:
         raise optim.NumericalError("distillation diverged")
-    return out
+    return out.dir / "distilled.ckpt"
 
 
 def eval_datasets_from_file(eval_path) -> dict[str, np.ndarray]:
@@ -271,44 +295,37 @@ def eval_datasets_from_file(eval_path) -> dict[str, np.ndarray]:
     return {name: items[rows] for name, rows in synthdata.eval_subsets(items).items()}
 
 
+EVAL_FIELDS = ["model", "dataset", "srocc", "params", "nonzero", "flops"]
+
+
 def evaluate(cfg: PipelineConfig, eval_path, ckpt_paths: list, outdir) -> str:
-    outdir = _ensure_outdir(outdir)
-    items = synthdata.read_eval_dataset(eval_path)
+    with _stage(cfg, outdir) as out:
+        items = synthdata.read_eval_dataset(eval_path)
 
-    def models():
-        for path in ckpt_paths:
-            spec, params, _ = ckpt.load_checkpoint(path)
-            _check_geometry(items, spec, eval_path)
-            yield Path(path).stem, spec, params
+        def models():
+            for path in ckpt_paths:
+                spec, params, _ = ckpt.load_checkpoint(path)
+                _check_geometry(items, spec, eval_path)
+                yield Path(path).stem, spec, params
 
-    reports = stats.evaluate_models(models(), items)
-    lines = []
-    for report in reports:
-        lines.append(f"model {report.name}: params={report.params_total} "
-                     f"nonzero={report.params_nonzero} flops={report.flops}")
-        for ds_name, d in report.datasets.items():
-            lines.append(f"  {ds_name}: srocc={d.srocc:.4f}")
-    comparison = None
-    if len(reports) >= 2:
-        comparison = stats.compare_models(reports[0], reports[-1])
-        lines.append(stats.format_comparison(comparison))
-        with (outdir / "comparison.csv").open("w", newline="") as fh:
-            rows = stats.comparison_csv_rows(comparison)
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-    with (outdir / "eval.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["model", "dataset", "srocc", "params", "nonzero", "flops"]
-        )
-        writer.writeheader()
+        reports = stats.evaluate_models(models(), items)
+        lines, rows = [], []
         for report in reports:
+            lines.append(f"model {report.name}: params={report.params_total} "
+                         f"nonzero={report.params_nonzero} flops={report.flops}")
             for ds_name, d in report.datasets.items():
-                writer.writerow({
-                    "model": report.name, "dataset": ds_name, "srocc": f"{d.srocc:.6f}",
-                    "params": report.params_total, "nonzero": report.params_nonzero,
-                    "flops": report.flops,
-                })
-    text = "\n".join(lines)
-    (outdir / "report.txt").write_text(text + "\n")
+                lines.append(f"  {ds_name}: srocc={d.srocc:.4f}")
+                rows.append({"model": report.name, "dataset": ds_name,
+                             "srocc": f"{d.srocc:.6f}", "params": report.params_total,
+                             "nonzero": report.params_nonzero, "flops": report.flops})
+        if len(reports) >= 2:
+            comparison = stats.compare_models(reports[0], reports[-1])
+            lines.append(stats.format_comparison(comparison))
+            out.text("comparison.csv", format_csv(stats.COMPARISON_FIELDS,
+                                                  stats.comparison_csv_rows(comparison)))
+        else:
+            out.remove("comparison.csv")  # it would describe an earlier run's models
+        out.text("eval.csv", format_csv(EVAL_FIELDS, rows))
+        text = "\n".join(lines)
+        out.text("report.txt", text + "\n")
     return text

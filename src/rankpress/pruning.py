@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -214,11 +213,3 @@ def format_plan(plan: PruningPlan) -> str:
         lines.append(f"{l.name} in[{len(l.retained_in)}]={','.join(map(str, l.retained_in))}")
         lines.append(f"{l.name} out[{len(l.retained_out)}]={','.join(map(str, l.retained_out))}")
     return "\n".join(lines)
-
-
-def write_density_report(path, report: DensityReport):
-    Path(path).write_text(format_density_report(report) + "\n")
-
-
-def write_plan(path, plan: PruningPlan):
-    Path(path).write_text(format_plan(plan) + "\n")

@@ -450,19 +450,12 @@ def format_comparison(cmp: ModelComparison) -> str:
     return "\n".join(lines)
 
 
+COMPARISON_FIELDS = ["dataset", "srocc_candidate", "srocc_reference", "f_verdict"]
+
+
 def comparison_csv_rows(cmp: ModelComparison) -> list[dict]:
-    rows = []
-    for name, (sc, sr, verdict) in cmp.per_dataset.items():
-        rows.append({
-            "dataset": name,
-            "srocc_candidate": f"{sc:.6f}",
-            "srocc_reference": f"{sr:.6f}",
-            "f_verdict": verdict,
-        })
-    rows.append({
-        "dataset": "__ratios__",
-        "srocc_candidate": f"{cmp.srocc_retention:.6f}",
-        "srocc_reference": "",
-        "f_verdict": "",
-    })
-    return rows
+    """The rows of ``comparison.csv``: one per dataset, then the SROCC retention."""
+    rows = [(name, f"{sc:.6f}", f"{sr:.6f}", verdict)
+            for name, (sc, sr, verdict) in cmp.per_dataset.items()]
+    rows.append(("__ratios__", f"{cmp.srocc_retention:.6f}", "", ""))
+    return [dict(zip(COMPARISON_FIELDS, row)) for row in rows]

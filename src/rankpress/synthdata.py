@@ -32,7 +32,8 @@ MAX_LEVEL = 6  # the top of the severity ladder: the quantizer keeps 2 bins ther
 
 
 class DataFormatError(ValueError):
-    """Bad container magic or version, a truncated file, or an out-of-range kind."""
+    """Bad container magic or version, a truncated file, an out-of-range kind, or a
+    non-finite float."""
 
 
 @dataclass(frozen=True)
@@ -312,6 +313,9 @@ def _read(path, magic: bytes, dtype_of) -> np.ndarray:
     records = np.frombuffer(data, dtype=dtype, count=count, offset=_HEADER.size)
     if np.any(records["kind"] >= len(KINDS)):
         raise DataFormatError(f"{path}: distortion kind out of range")
+    for name in dtype.names:
+        if dtype[name].base.kind == "f" and not np.isfinite(records[name]).all():
+            raise DataFormatError(f"{path}: non-finite value in {name}")
     return records
 
 

@@ -62,6 +62,16 @@ def test_corrupted_blob_rejected(net, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_tensor_rejected(net, tmp_path, value):
+    spec, params = net
+    params["conv2.bias"].data[-1] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, spec, params)  # the checksums hold: only the value is wrong
+    with pytest.raises(CheckpointError, match="conv2.bias holds a non-finite value"):
+        load_checkpoint(path)
+
+
 def test_truncated_file_rejected(net, tmp_path):
     spec, params = net
     path = tmp_path / "m.ckpt"

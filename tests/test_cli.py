@@ -1,15 +1,18 @@
 """End-to-end command-line checks on a deliberately tiny configuration."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rankpress import checkpoint, pipeline
 from rankpress.cli import run
 from rankpress.nets import ConfigError
-from rankpress.pipeline import PipelineConfig, load_config, write_effective_config
+from rankpress.pipeline import PipelineConfig, format_config, format_csv, load_config
 
 TINY = [
     "patch=12",
@@ -22,6 +25,10 @@ TINY = [
     "eval_sources=2",
     "epochs=4",
 ]
+
+
+def _tiny_config() -> PipelineConfig:
+    return load_config(None, dict(kv.split("=") for kv in TINY))
 
 
 def _sets(extra=()):
@@ -57,8 +64,11 @@ class TestConfig:
     def test_effective_config_reloads_to_the_config_that_wrote_it(self, tmp_path):
         cfg = PipelineConfig(conv_widths=(4, 8), dense_widths=(), lr=0.003, lam=0.25, alpha=0.5,
                              cross_content=1)
-        write_effective_config(cfg, tmp_path)
+        (tmp_path / "effective_config.txt").write_text(format_config(cfg))
         assert load_config(tmp_path / "effective_config.txt") == cfg
+
+    def test_csv_rows_end_in_crlf(self):
+        assert format_csv(["a", "b"], [{"a": 1, "b": 0.5}]) == "a,b\r\n1,0.5\r\n"
 
 
 @pytest.fixture(scope="module")
@@ -84,25 +94,50 @@ def artifacts(tmp_path_factory):
 class TestPipelineCommands:
     def test_expected_artifacts_exist(self, artifacts):
         base, d = artifacts
-        from pathlib import Path
-
-        for rel in (
-            "data/train.rpds", "data/val.rpds", "data/eval.rpev",
-            "teacher/teacher.ckpt", "teacher/teacher_log.csv",
-            "sparse/sparse.ckpt", "sparse/density.txt", "sparse/sparse_log.csv",
-            "pruned/student.ckpt", "pruned/plan.txt", "pruned/ratio.txt",
-            "distill/distilled.ckpt", "distill/distill_log.csv",
-            "eval/report.txt", "eval/eval.csv", "eval/comparison.csv",
-        ):
-            stage, name = rel.split("/", 1)
-            assert Path(d[stage], name).exists(), rel
+        written = {
+            "data": ["eval.rpev", "train.rpds", "val.rpds"],
+            "teacher": ["teacher.ckpt", "teacher_log.csv"],
+            "sparse": ["density.txt", "sparse.ckpt", "sparse_log.csv"],
+            "pruned": ["density.txt", "plan.txt", "ratio.txt", "student.ckpt"],
+            "distill": ["distill_log.csv", "distilled.ckpt"],
+            "eval": ["comparison.csv", "eval.csv", "report.txt"],
+        }
+        for stage, outdir in d.items():  # exactly these: no temporary is left behind
+            assert sorted(os.listdir(outdir)) == sorted(written[stage] + ["effective_config.txt"])
 
     def test_effective_config_echoed(self, artifacts):
         base, d = artifacts
-        from pathlib import Path
+        for stage, outdir in d.items():
+            assert load_config(Path(outdir, "effective_config.txt")) == _tiny_config(), stage
 
-        text = Path(d["teacher"], "effective_config.txt").read_text()
-        assert "epochs=4" in text
+    def test_failed_stage_changes_no_file(self, artifacts, tmp_path, monkeypatch):
+        base, d = artifacts
+        out = tmp_path / "pruned"
+        out.mkdir()
+        earlier = {"student.ckpt": Path(d["pruned"], "student.ckpt").read_bytes(),
+                   "plan.txt": b"an earlier run's plan\n"}
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
+
+        def failing_save(path, *args, **kwargs):  # after density.txt and plan.txt
+            Path(path).write_bytes(b"half a checkpoint")
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(checkpoint, "save_checkpoint", failing_save)
+        with pytest.raises(RuntimeError, match="injected"):
+            pipeline.prune(_tiny_config(), Path(d["sparse"], "sparse.ckpt"), out)
+        assert sorted(os.listdir(out)) == sorted(earlier)
+        for name, data in earlier.items():
+            assert (out / name).read_bytes() == data, name
+
+    def test_one_checkpoint_eval_removes_an_earlier_comparison(self, artifacts, tmp_path):
+        base, d = artifacts
+        out = tmp_path / "eval"
+        shutil.copytree(d["eval"], out)
+        assert run(["eval", "--eval-data", d["data"] + "/eval.rpev",
+                    "--ckpt", d["teacher"] + "/teacher.ckpt", "--out", str(out)] + _sets()) == 0
+        assert sorted(os.listdir(out)) == ["effective_config.txt", "eval.csv", "report.txt"]
+        assert "teacher" in (out / "eval.csv").read_text()
 
     def test_gen_data_reproducible(self, artifacts, tmp_path):
         base, d = artifacts
@@ -233,6 +268,31 @@ class TestExitCodes:
         assert code == 2
         assert "train.rpds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_train_payload_is_data_error(self, value, artifacts, tmp_path, capsys):
+        base, d = artifacts
+        from rankpress.synthdata import pair_dtype
+
+        data = tmp_path / "data"
+        shutil.copytree(d["data"], data)
+        blob = bytearray((data / "train.rpds").read_bytes())
+        at = 16 + pair_dtype(1, 12, 12).itemsize + 40  # a patch float of record 1
+        blob[at : at + 4] = np.float32(value).tobytes()
+        (data / "train.rpds").write_bytes(bytes(blob))
+        out = tmp_path / "o"
+        assert run(["train-teacher", "--data", str(data), "--out", str(out)] + _sets()) == 2
+        assert "non-finite value in patches" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_non_finite_checkpoint_is_data_error(self, artifacts, tmp_path, capsys):
+        base, d = artifacts
+        spec, params, meta = checkpoint.load_checkpoint(Path(d["sparse"], "sparse.ckpt"))
+        params["fc1.weight"].data[0, 0] = np.nan
+        bad = tmp_path / "bad.ckpt"
+        checkpoint.save_checkpoint(bad, spec, params, meta)  # with valid checksums
+        assert run(["prune", "--sparse", str(bad), "--out", str(tmp_path / "o")] + _sets()) == 2
+        assert "fc1.weight holds a non-finite value" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_is_data_error(self, artifacts, tmp_path):
         base, d = artifacts
         from pathlib import Path
@@ -254,6 +314,8 @@ class TestExitCodes:
         assert len(rows) == 2 and rows[1].endswith(",1")  # header, one diverged=1 row
         _, _, meta = load_checkpoint(out / "teacher.ckpt")
         assert meta["epoch"] == "-1"  # no epoch completed: the initial weights
+        assert sorted(os.listdir(out)) == ["effective_config.txt", "teacher.ckpt",
+                                           "teacher_log.csv"]
 
     def test_distill_divergence_is_numerical_failure(self, artifacts, tmp_path):
         base, d = artifacts

@@ -237,3 +237,20 @@ class TestContainers:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError):
             read(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("container, field", [("rpds", "patches"), ("rpds", "mos1"),
+                                                  ("rpds", "mos2"), ("rpev", "ref"),
+                                                  ("rpev", "dist"), ("rpev", "mos")])
+    def test_non_finite_float_rejected(self, sources, tmp_path, container, field, value):
+        if container == "rpds":
+            records = make_pair_dataset(sources, levels=6, pairs_per_source=1, seed=6)
+            write, read = write_dataset, read_dataset
+        else:
+            records = make_eval_dataset(sources[:1], levels=3, seed=6)
+            write, read = write_eval_dataset, read_eval_dataset
+        records[field].reshape(len(records), -1)[-1, -1] = value  # the last record's last float
+        path = tmp_path / f"data.{container}"
+        write(path, records)
+        with pytest.raises(DataFormatError, match=f"non-finite value in {field}"):
+            read(path)
