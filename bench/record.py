@@ -191,9 +191,9 @@ def time_scoring(cfg: pipeline.PipelineConfig, reps: int) -> dict:
     return {"items_per_s": median, "items_per_s_p25": p25, "items_per_s_p75": p75}
 
 
-def time_stages(cfg: pipeline.PipelineConfig, work: Path) -> dict:
-    """Wall seconds of each stage of one pipeline run in ``work``."""
-    p = pipeline
+def time_stages(cfg: pipeline.PipelineConfig, work: Path, p=pipeline) -> dict:
+    """Wall seconds of each stage of one pipeline run in ``work``, by the stages of
+    ``p``, a ``pipeline`` module."""
     data = work / "data"
     teacher = work / "teacher" / "teacher.ckpt"
     sparse = work / "sparse" / "sparse.ckpt"

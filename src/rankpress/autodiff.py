@@ -133,9 +133,9 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray):
     """Add ``g`` into ``t.grad``. A first gradient that owns its memory, in ``t``'s dtype,
-    becomes ``t.grad`` as it is. A view, which ``_unbroadcast``, ``reshape`` and the
-    broadcasts of ``tsum`` hand on, is copied: a later ``+=`` would write through it into
-    another tensor's gradient."""
+    becomes ``t.grad`` as it is. A view, which ``_unbroadcast`` (``add``, ``sub``, ``mul``),
+    ``reshape`` and the broadcasts of ``tsum``, ``tmean`` and ``global_avg_pool`` hand on, is
+    copied: a later ``+=`` would write through it into another tensor's gradient."""
     if t.grad is not None:
         t.grad += g
     elif g.base is None and g.dtype == t.data.dtype:
@@ -272,14 +272,22 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     """max(x, slope * x): for 0 < slope < 1 the same bits as where(x > 0, x, slope * x).
 
-    The gradient is a lookup, g * [slope, 1][x > 0], with the bits of
-    where(x > 0, g, slope * g) but no branch to mispredict on a sign map.
+    The gradient is g times the multiplier fmax(sign(x), slope), built in g's
+    dtype: sign gives 1 where x > 0 and -1, ±0 or NaN elsewhere, and fmax
+    takes slope over each of those. That is [slope, 1][x > 0], so the bits are
+    those of where(x > 0, g, slope * g), with no branch and no gather.
     """
     a = _as_tensor(a)
     out = np.asarray(a.data * slope)  # a 0-d input multiplies to a scalar
     np.maximum(a.data, out, out=out)
-    return _node(out, (a,),
-                 (lambda g: g * np.array([slope, 1], g.dtype).take((a.data > 0).view(np.uint8)),))
+
+    def grad_a(g):
+        m = np.sign(a.data, out=np.empty(a.data.shape, g.dtype))
+        np.fmax(m, slope, out=m)
+        m *= g
+        return m
+
+    return _node(out, (a,), (grad_a,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -375,15 +383,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     out_data = kmat @ cols
     out_data += bias.data[:, None]
     out_data = out_data.reshape(h_out, c_out, w_out, n)
-    padded_shape = xp.shape  # the closures keep ``cols``, not the padded input
 
     def grad_x(g):
         g_cols = (kmat.T @ g.reshape(h_out, c_out, w_out * n)).reshape(
             h_out, kh * kw, c_in, w_out, n)
-        gxp = np.zeros(padded_shape, dtype=g_cols.dtype)
-        for tap, (rows, columns) in enumerate(spans):
-            gxp[rows, :, columns] += g_cols[:, tap]
-        return gxp[inner]
+        # each tap adds only the output positions whose window element lies in the
+        # unpadded input: every element gets the same adds, in the same tap order, as
+        # a scatter into a zeroed padded array would give it
+        row_spans = [_unpadded(i, h, h_out, stride, padding) for i in range(kh)]
+        column_spans = [_unpadded(j, w, w_out, stride, padding) for j in range(kw)]
+        gx = np.zeros((h, c_in, w, n), dtype=g_cols.dtype)
+        for tap, (i, j) in enumerate(itertools.product(range(kh), range(kw))):
+            if row_spans[i] and column_spans[j]:
+                (ys, rows), (zs, columns) = row_spans[i], column_spans[j]
+                gx[rows, :, columns] += g_cols[ys, tap, :, zs]
+        return gx
 
     def grad_kernel(g):
         # a transposed view: a transposed copy of ``cols`` costs more than the GEMM saves
@@ -392,6 +406,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     return _node(out_data, (x, kernel, bias),
                  (grad_x, grad_kernel, lambda g: g.sum(axis=(0, 2, 3))))
+
+
+def _unpadded(offset: int, extent: int, n_out: int, stride: int, padding: int):
+    """For a tap at ``offset`` along one axis of a convolution's padded input: the
+    output positions whose window element lies in the unpadded extent, and the
+    input positions they land on, as two slices; None when no output does."""
+    first = max(0, -((offset - padding) // stride))  # ceil((padding - offset) / stride)
+    stop = min(n_out, (padding + extent - 1 - offset) // stride + 1)
+    if first >= stop:
+        return None
+    start = offset + stride * first - padding
+    return np.s_[first:stop], np.s_[start : start + stride * (stop - first - 1) + 1 : stride]
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -410,7 +436,12 @@ def avg_pool2(x: Tensor) -> Tensor:
     out *= 0.25
 
     def grad_x(g):
-        gx = np.zeros_like(a)
+        # the corners cover every element but a trailing odd row and column, which get 0
+        gx = np.empty_like(a)
+        if a.shape[0] % 2:
+            gx[-1] = 0
+        if a.shape[2] % 2:
+            gx[:, :, -1] = 0
         quarter = g * 0.25
         for corner in corners:
             gx[corner] = quarter

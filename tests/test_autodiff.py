@@ -376,6 +376,105 @@ def test_leaky_relu_bit_identical_to_where(dtype):
     with np.errstate(over="ignore", invalid="ignore"):  # the loss sums inf and -inf
         ad.backward(ad.tsum(ad.mul(out, g)))
     assert a.grad.tobytes() == (g * np.where(x > 0, 1.0, 0.01).astype(dtype)).tobytes()
+    assert a.grad.tobytes() == _take_leaky_relu_grad(x, g, 0.01).tobytes()
+
+
+# The earlier gradient rules of leaky_relu, avg_pool2 and conv2d's input, kept as oracles:
+# the rewritten rules must give the same bytes.
+
+
+def _take_leaky_relu_grad(x, g, slope):
+    """g times the multiplier looked up by ``take`` on the sign map of x."""
+    return g * np.array([slope, 1], g.dtype).take((x > 0).view(np.uint8))
+
+
+def _zero_filled_pool_grad(a, g):
+    """A zero-filled input gradient with g / 4 written into each corner of every window."""
+    h2, w2 = a.shape[0] // 2, a.shape[2] // 2
+    gx = np.zeros_like(a)
+    for i in (0, 1):
+        for j in (0, 1):
+            gx[i : 2 * h2 : 2, :, j : 2 * w2 : 2] = g * 0.25
+    return gx
+
+
+def _padded_scatter_grad_x(x_shape, kernel, g, stride, padding):
+    """``conv2d``'s input gradient as col2im into a zeroed padded array, then its
+    unpadded part: the taps in row-major order, padded positions included."""
+    h, c_in, w, n = x_shape
+    c_out, _, kh, kw = kernel.shape
+    h_out, _, w_out, _ = g.shape
+    kmat = kernel.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+    g_cols = (kmat.T @ g.reshape(h_out, c_out, w_out * n)).reshape(
+        h_out, kh * kw, c_in, w_out, n)
+    gxp = np.zeros((h + 2 * padding, c_in, w + 2 * padding, n), dtype=g_cols.dtype)
+    for tap in range(kh * kw):
+        i, j = divmod(tap, kw)
+        gxp[i : i + stride * h_out : stride, :, j : j + stride * w_out : stride] += g_cols[:, tap]
+    return gxp[padding : padding + h, :, padding : padding + w]
+
+
+def _vjps_of(monkeypatch, op, *args, **kwargs):
+    """The output of ``op(*args, **kwargs)`` and the vjps it hands ``_node``."""
+    seen = []
+    node = ad._node
+
+    def recording_node(data, parents, vjps):
+        seen.append(vjps)
+        return node(data, parents, vjps)
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    out = op(*args, **kwargs)
+    monkeypatch.undo()
+    return out, seen[-1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 2, 7, 1), (4, 2, 6, 2), (5, 3, 4, 2), (4, 1, 3, 3)])
+def test_avg_pool2_grad_bit_identical_to_zero_filled(shape, dtype, monkeypatch):
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal(shape).astype(dtype)
+    out, (grad_x,) = _vjps_of(monkeypatch, ad.avg_pool2, Tensor(a, requires_grad=True))
+    g = rng.standard_normal(out.shape).astype(dtype)
+    expected = _zero_filled_pool_grad(a, g).tobytes()
+    for _ in range(3):
+        # a freed array of the same size, full of NaN, is what the rule's next
+        # allocation most likely reuses: an element it leaves unwritten shows
+        poison = np.full(shape, np.nan, dtype)
+        del poison
+        assert grad_x(g).tobytes() == expected
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, kernel, stride, padding",
+                         [((2, 3, 7, 5), kernel, stride, padding)
+                          for kernel in (1, 3, 5) for stride in (1, 2) for padding in (0, 1, 2)]
+                         + [((1, 2, 7, 5), 9, 1, 2), ((2, 2, 7, 5), 7, 2, 1)])
+def test_conv2d_input_grad_bit_identical_to_padded_scatter(shape, kernel, stride, padding,
+                                                           dtype):
+    rng = np.random.default_rng(17)
+    x = Tensor(hcwn(rng.standard_normal(shape).astype(dtype)), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, shape[1], kernel, kernel)).astype(dtype))
+    out = ad.conv2d(x, k, Tensor(np.zeros(4, dtype)), stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    expected = _padded_scatter_grad_x(x.shape, k.data, g, stride, padding)
+    assert x.grad.dtype == dtype and x.grad.tobytes() == expected.tobytes()
+
+
+def test_layer_gradient_rules_hand_on_arrays_that_own_their_memory(monkeypatch):
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((5, 2, 7, 3)), requires_grad=True)
+    k = Tensor(rng.standard_normal((3, 2, 3, 3)))
+    layers = {"conv2d": ad.conv2d(x, k, Tensor(np.zeros(3)), padding=1),
+              "leaky_relu": ad.leaky_relu(x), "avg_pool2": ad.avg_pool2(x)}
+    handed = []
+    monkeypatch.setattr(ad, "_accumulate", lambda tensor, g: handed.append((tensor, g)))
+    for name, out in layers.items():
+        handed.clear()
+        out._backward(rng.standard_normal(out.shape))
+        (gx,) = [g for tensor, g in handed if tensor is x]
+        assert gx.base is None, name
 
 
 def test_no_grad_nests_and_restores_the_mode_after_an_exception():
