@@ -68,12 +68,12 @@ def checkpoint_hash(path) -> str:
     raise CheckpointError(f"{path}: no blob line found")
 
 
-def load_checkpoint(path, dtype=np.float32) -> tuple[NetworkSpec, ParameterSet, dict]:
+def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
     """Read a checkpoint; any malformed, inconsistent or corrupt content is a CheckpointError."""
     path = Path(path)
     data = path.read_bytes()
     try:
-        return _parse(data, dtype)
+        return _parse(data)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     # int(), decode(), unpacking and spec.validate() raise ValueErrors; a short line IndexError
@@ -81,7 +81,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[NetworkSpec, ParameterSet, 
         raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
 
 
-def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
+def _parse(data: bytes) -> tuple[NetworkSpec, ParameterSet, dict]:
     pos = 0
 
     def next_line():
@@ -150,5 +150,5 @@ def _parse(data: bytes, dtype) -> tuple[NetworkSpec, ParameterSet, dict]:
         arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name} holds a non-finite value")
-        params[name] = Tensor(arr.reshape(shape).astype(dtype), requires_grad=True)
+        params[name] = Tensor(arr.reshape(shape).astype(np.float32), requires_grad=True)
     return spec, params, meta

@@ -60,6 +60,8 @@ class PipelineConfig:
         for key in ("seed", "val_pairs_per_source"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if self.cross_content not in (0, 1):
+            raise ConfigError(f"cross_content must be 0 or 1, got {self.cross_content}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         for key in ("beta1", "beta2"):
@@ -177,14 +179,10 @@ def gen_data(cfg: PipelineConfig, outdir) -> dict[str, Path]:
     train_sources = synthdata.generate_sources(cfg.train_sources, geometry, seed=cfg.seed)
     val_sources = synthdata.generate_sources(cfg.val_sources, geometry, seed=cfg.seed + 1)
     eval_sources = synthdata.generate_sources(cfg.eval_sources, geometry, seed=cfg.seed + 2)
-    train = synthdata.make_pair_dataset(
-        train_sources, cfg.levels, cfg.pairs_per_source, seed=cfg.seed,
-        cross_content=bool(cfg.cross_content),
-    )
-    val = synthdata.make_pair_dataset(
-        val_sources, cfg.levels, cfg.val_pairs_per_source, seed=cfg.seed + 1,
-        cross_content=bool(cfg.cross_content),
-    )
+    train = synthdata.make_pair_dataset(train_sources, cfg.levels, cfg.pairs_per_source,
+                                        seed=cfg.seed, cross_content=cfg.cross_content == 1)
+    val = synthdata.make_pair_dataset(val_sources, cfg.levels, cfg.val_pairs_per_source,
+                                      seed=cfg.seed + 1, cross_content=cfg.cross_content == 1)
     eval_items = synthdata.make_eval_dataset(eval_sources, cfg.levels, seed=cfg.seed + 2)
     with _stage(cfg, outdir) as out:
         synthdata.write_dataset(out.path("train.rpds"), train)

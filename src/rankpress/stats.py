@@ -128,8 +128,8 @@ class FTestResult:
     verdict: int  # +1: a significantly better (smaller variance); -1: worse; 0: n.s.
 
 
-def f_test(residuals_a, residuals_b, confidence: float = 0.95) -> FTestResult:
-    """Two-sided variance-ratio test on regression residuals."""
+def f_test(residuals_a, residuals_b) -> FTestResult:
+    """Two-sided variance-ratio test on regression residuals, at 95% confidence."""
     a = np.asarray(residuals_a, dtype=np.float64)
     b = np.asarray(residuals_b, dtype=np.float64)
     if a.size < 3 or b.size < 3:
@@ -146,8 +146,7 @@ def f_test(residuals_a, residuals_b, confidence: float = 0.95) -> FTestResult:
         p_one = f_sf(var_a / var_b, a.size - 1, b.size - 1)
     else:
         p_one = f_sf(var_b / var_a, b.size - 1, a.size - 1)
-    alpha = (1.0 - confidence) / 2.0  # two-sided at the stated confidence
-    if p_one >= alpha:
+    if p_one >= (1.0 - 0.95) / 2.0:  # two-sided
         return FTestResult(stat, p_one, 0)
     return FTestResult(stat, p_one, +1 if var_a < var_b else -1)
 
@@ -319,10 +318,10 @@ def _fit_problem(pred, truth):
     return x, t, (b_init, b_linear), (slope, intercept)
 
 
-def _solve_fits(fits, max_iter: int = 200) -> list[LogisticFit]:
+def _solve_fits(fits) -> list[LogisticFit]:
     """Every start of every ``_fit_problem`` in one ``_lm`` call; each fit keeps its
     start of least SSE, or its line if that start is not finite."""
-    solved = _lm([(b0, x, t) for x, t, starts, _ in fits for b0 in starts], max_iter)
+    solved = _lm([(b0, x, t) for x, t, starts, _ in fits for b0 in starts])
     out = []
     for k, (x, t, _, (slope, intercept)) in enumerate(fits):
         b, sse = min(solved[2 * k:2 * k + 2], key=lambda c: c[1])
@@ -335,15 +334,15 @@ def _solve_fits(fits, max_iter: int = 200) -> list[LogisticFit]:
     return out
 
 
-def logistic_fits(pairs, max_iter: int = 200) -> list[LogisticFit]:
+def logistic_fits(pairs) -> list[LogisticFit]:
     """Least-squares fits of a 4-parameter logistic mapping pred -> truth, one per
     ``(pred, truth)`` of ``pairs``, solved together."""
-    return _solve_fits([_fit_problem(pred, truth) for pred, truth in pairs], max_iter)
+    return _solve_fits([_fit_problem(pred, truth) for pred, truth in pairs])
 
 
-def logistic_fit(pred, truth, max_iter: int = 200) -> LogisticFit:
+def logistic_fit(pred, truth) -> LogisticFit:
     """Least-squares fit of a 4-parameter logistic mapping pred -> truth."""
-    return logistic_fits([(pred, truth)], max_iter)[0]
+    return logistic_fits([(pred, truth)])[0]
 
 
 # ---------------------------------------------------------------------------

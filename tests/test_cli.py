@@ -200,6 +200,8 @@ BAD_CONFIG_VALUES = {
     "negative-seed": ("seed", ["gen-data", "--set", "seed=-1"]),
     "negative-val-pairs": ("val_pairs_per_source",
                            ["gen-data", "--set", "val_pairs_per_source=-1"]),
+    "negative-cross-content": ("cross_content", ["gen-data", "--set", "cross_content=-3"]),
+    "cross-content-of-two": ("cross_content", ["gen-data", "--set", "cross_content=2"]),
 }
 
 
@@ -212,7 +214,7 @@ class TestExitCodes:
         # the tiny config goes first, so that the case's own --set wins
         assert run(argv[:1] + _sets() + argv[1:] + ["--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_too_few_eval_items_per_kind_is_data_error(self, artifacts, tmp_path):
