@@ -101,7 +101,7 @@ def _git(*args) -> bytes:
 
 def tree(package: str, src: Path, settings: dict, overrides: dict) -> SimpleNamespace:
     """The modules of ``package``, imported from ``src``, with that package's own
-    configurations: ``cfg`` for the pipeline at ``settings`` and ``nets`` for the
+    configurations: ``cfg`` for the pipeline at ``settings`` and ``net_cfgs`` for the
     teacher and the student at ``overrides``."""
     t = SimpleNamespace(src=src, **{m: importlib.import_module(f"{package}.{m}") for m in MODULES})
     t.cfg = t.pipeline.load_config(overrides=settings)
