@@ -33,6 +33,13 @@ change/base (``ratio``, ``ratio_p25``, ``ratio_p75``). The sections:
   eval items and its two checkpoints, distilled and teacher (``seconds``), and
   the share of them spent in its logistic fits, ``stats._solve_fits``
   (``fit_share``);
+- ``runtime``: the paper's runtime claim on that run's own nets. The items
+  per second of ``stats.predict_scores`` on its eval items with its distilled
+  student and with its teacher (``student_items_per_s``,
+  ``teacher_items_per_s``), each the median of ``RUNTIME_PASSES`` passes after
+  one untimed pass; the teacher's rate over the student's, the student's
+  share of the teacher's scoring time (``runtime_ratio``); and the params and
+  FLOPs ratios of its ``ratio.txt`` (``params_ratio``, ``flops_ratio``);
 - ``cli_import_s``: the wall seconds of a fresh ``python -c "import
   rankpress.cli"``, the start-up every command pays.
 
@@ -92,7 +99,8 @@ STEP_BATCH = 8
 STEPS_PER_ROUND = 20
 SCORING_ITEMS = 1536
 SCORING_PASSES = 3
-MODULES = ("autodiff", "nets", "optim", "pipeline", "stats", "synthdata")
+RUNTIME_PASSES = 9
+MODULES = ("autodiff", "checkpoint", "nets", "optim", "pipeline", "stats", "synthdata")
 
 
 def _git(*args) -> bytes:
@@ -199,12 +207,18 @@ def time_scoring(t: SimpleNamespace, spec, params) -> dict:
     rng = np.random.default_rng(0)
     items["ref"] = rng.random(items["ref"].shape, dtype=np.float32)
     items["dist"] = rng.random(items["dist"].shape, dtype=np.float32)
+    return {"items_per_s": items_per_s(t, spec, params, items, SCORING_PASSES)}
+
+
+def items_per_s(t: SimpleNamespace, spec, params, items: np.ndarray, passes: int) -> float:
+    """Items per second of ``stats.predict_scores`` on ``items``: the median of ``passes``
+    passes after one untimed pass."""
     rates = []
-    for _ in range(SCORING_PASSES + 1):  # the first pass is not timed
+    for _ in range(passes + 1):
         t0 = time.perf_counter()
         t.stats.predict_scores(spec, params, items)
-        rates.append(SCORING_ITEMS / (time.perf_counter() - t0))
-    return {"items_per_s": np.median(rates[1:])}
+        rates.append(len(items) / (time.perf_counter() - t0))
+    return float(np.median(rates[1:]))
 
 
 def time_nets(t: SimpleNamespace, work: Path) -> dict:
@@ -219,7 +233,7 @@ def time_nets(t: SimpleNamespace, work: Path) -> dict:
 
 
 def time_pipeline(t: SimpleNamespace, work: Path) -> dict:
-    """The ``stages`` and ``eval`` rows of one pipeline run in ``work``."""
+    """The ``stages``, ``eval`` and ``runtime`` rows of one pipeline run in ``work``."""
     p, cfg = t.pipeline, t.cfg
     data = work / "data"
     teacher = work / "teacher" / "teacher.ckpt"
@@ -240,8 +254,10 @@ def time_pipeline(t: SimpleNamespace, work: Path) -> dict:
         run()
         seconds[name] = time.perf_counter() - t0
     seconds["total"] = sum(seconds.values())
-    return {"stages": seconds, "eval": time_eval(t, data / "eval.rpev", [distilled, teacher],
-                                                 work / "eval_timed")}
+    return {"stages": seconds,
+            "eval": time_eval(t, data / "eval.rpev", [distilled, teacher], work / "eval_timed"),
+            "runtime": time_runtime(t, data / "eval.rpev", distilled, teacher,
+                                    student.parent / "ratio.txt")}
 
 
 def time_eval(t: SimpleNamespace, eval_path: Path, ckpts: list[Path], outdir: Path) -> dict:
@@ -263,6 +279,21 @@ def time_eval(t: SimpleNamespace, eval_path: Path, ckpts: list[Path], outdir: Pa
     finally:
         t.stats._solve_fits = solve_fits
     return {"seconds": seconds, "fit_share": sum(fit_seconds) / seconds}
+
+
+def time_runtime(t: SimpleNamespace, eval_path: Path, student: Path, teacher: Path,
+                 ratio_txt: Path) -> dict:
+    """The scoring rates of a run's distilled student and teacher on its eval items, the
+    student's share of the teacher's scoring time, and the ratios of its ``ratio.txt``."""
+    items = t.synthdata.read_eval_dataset(eval_path)
+    row = {}
+    for net, path in (("student", student), ("teacher", teacher)):
+        spec, params, _ = t.checkpoint.load_checkpoint(path)
+        row[f"{net}_items_per_s"] = items_per_s(t, spec, params, items, RUNTIME_PASSES)
+    row["runtime_ratio"] = row["teacher_items_per_s"] / row["student_items_per_s"]
+    ratios = dict(line.split("=") for line in ratio_txt.read_text().split())
+    return {**row, "params_ratio": float(ratios["params_ratio"]),
+            "flops_ratio": float(ratios["flops_ratio"])}
 
 
 def time_cli(t: SimpleNamespace, work: Path) -> dict:

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _counter = itertools.count()
+# the im2col columns a forward-only ``conv2d`` gathers and multiplies at a time
+_BLOCK_BYTES = 1 << 20
 
 
 class _Mode(threading.local):
@@ -341,15 +343,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     """2-d cross-correlation over (H, C, W, N) input with an OIHW kernel.
 
     Activations are height-major: rows, channels, columns, batch. With the
-    batch innermost, each tap's copy into the im2col columns, and each
-    scatter-add of the input gradient, moves contiguous runs of W*N values
-    rather than one image row. The columns are (H_out, kh*kw*C, W_out*N):
-    row ``t*C + c`` holds channel c as kernel tap t sees it, taps in
-    row-major order. The kernel, laid out as (O, kh*kw*C) in the same order,
-    multiplies them in one GEMM batched over output rows, whose operands
-    stay in cache, into the (H_out, O, W_out, N) output directly. With the
-    taps outermost, rather than the channels, each input gradient element is
-    summed over the taps in the order of a per-tap loop.
+    batch innermost, the im2col gather, and each scatter-add of the input
+    gradient, moves contiguous runs of W*N values rather than one image row.
+    The columns of an output row are (kh*kw*C, W_out*N): row ``t*C + c``
+    holds channel c as kernel tap t sees it, taps in row-major order. They
+    are copied from one strided window view of the padded input, a block of
+    output rows at a time, and the kernel, laid out as (O, kh*kw*C) in the
+    same order, multiplies each row's columns in one GEMM into its rows of
+    the (H_out, O, W_out, N) output. A recorded forward gathers every row in
+    one block and keeps it for the kernel gradient; a forward-only pass
+    gathers as many rows as fit ``_BLOCK_BYTES``, so that a block stays in
+    cache for its GEMM. Each row's product is the same call either way, so
+    the two passes give the same bytes. With the taps outermost, rather than
+    the channels, each input gradient element is summed over the taps in the
+    order of a per-tap loop.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -367,20 +374,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
 
-    inner = np.s_[padding : padding + h, :, padding : padding + w]
-    xp = x.data
     if padding:
         xp = np.zeros((h + 2 * padding, c_in, w + 2 * padding, n), dtype=x.data.dtype)
-        xp[inner] = x.data
-    # the rows and columns of the padded input that tap (i, j) sees at every output position
-    spans = [(np.s_[i : i + stride * h_out : stride], np.s_[j : j + stride * w_out : stride])
-             for i in range(kh) for j in range(kw)]
-    cols = np.empty((h_out, kh * kw, c_in, w_out, n), dtype=x.data.dtype)
-    for tap, (rows, columns) in enumerate(spans):
-        cols[:, tap] = xp[rows, :, columns]
-    cols = cols.reshape(h_out, kh * kw * c_in, w_out * n)
-    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
-    out_data = kmat @ cols
+        xp[padding : padding + h, :, padding : padding + w] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
+    # windows[y, i, j, c, z, m] = xp[stride*y + i, c, stride*z + j, m]: an ndarray over
+    # xp's buffer costs a fraction of what ``as_strided`` does
+    sh, sc, sw, sn = xp.strides
+    windows = np.ndarray((h_out, kh, kw, c_in, w_out, n), xp.dtype, xp,
+                         strides=(stride * sh, sh, sw, sc, stride * sw, sn))
+    k_len, m = kh * kw * c_in, w_out * n
+    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out, k_len)
+    row_bytes = max(1, k_len * m * xp.itemsize)
+    block = h_out if _mode.recording else max(1, min(h_out, _BLOCK_BYTES // row_bytes))
+    cols = np.empty((block, kh, kw, c_in, w_out, n), dtype=xp.dtype)
+    out_data = np.empty((h_out, c_out, m), dtype=np.result_type(kmat, xp))
+    for y in range(0, h_out, block):
+        rows = min(block, h_out - y)
+        np.copyto(cols[:rows], windows[y : y + rows])
+        np.matmul(kmat, cols[:rows].reshape(rows, k_len, m), out=out_data[y : y + rows])
+    cols = cols.reshape(block, k_len, m)
     out_data += bias.data[:, None]
     out_data = out_data.reshape(h_out, c_out, w_out, n)
 

@@ -145,6 +145,8 @@ def build_spec(cfg: PipelineConfig) -> NetworkSpec:
         )
     if any(w < 1 for w in cfg.conv_widths) or any(w < 1 for w in cfg.dense_widths):
         raise ConfigError("layer widths must be positive")
+    if not cfg.conv_widths:  # no dense layer is valid: the score head reads the pooled maps
+        raise ConfigError("conv_widths must name at least one conv layer, the layers pruning thins")
     in_ch = 2 * cfg.channels  # (R - D) planes concatenated with D planes
     layers = []
     prev, pad = in_ch, cfg.kernel // 2

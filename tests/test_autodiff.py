@@ -532,3 +532,60 @@ def test_accumulate_gives_each_parent_its_own_gradient_buffer():
     assert not np.shares_memory(a.grad, s.grad) and not np.shares_memory(b.grad, s.grad)
     a.grad += 1.0  # so an optimizer writing into one gradient leaves the other alone
     assert np.array_equal(b.grad, [10.0, 14.0, 18.0])
+
+
+def _per_row_conv2d(x, kernel, bias, stride, padding):
+    """``conv2d``'s forward, one output row at a time: the row's im2col columns gathered
+    tap by tap from a zero-padded copy, then one GEMM per row, then the bias."""
+    h, c_in, w, n = x.shape
+    c_out, _, kh, kw = kernel.shape
+    xp = np.pad(x, ((padding, padding), (0, 0), (padding, padding), (0, 0)))
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    kmat = kernel.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+    out = np.empty((h_out, c_out, w_out * n), x.dtype)
+    for y in range(h_out):
+        cols = np.empty((kh * kw, c_in, w_out, n), x.dtype)
+        for tap in range(kh * kw):
+            i, j = divmod(tap, kw)
+            cols[tap] = xp[stride * y + i, :, j : j + stride * w_out : stride]
+        out[y] = kmat @ cols.reshape(kh * kw * c_in, w_out * n)
+    out += bias[:, None]
+    return out.reshape(h_out, c_out, w_out, n)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, None])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel, stride, padding",
+                         [(kernel, stride, padding)
+                          for kernel in (1, 3, 5) for stride in (1, 2) for padding in (0, 1, 2)])
+def test_conv2d_blocked_gather_gives_the_same_bytes(kernel, stride, padding, dtype, block_rows,
+                                                     monkeypatch):
+    # a forward-only pass gathers ``block_rows`` output rows at a time (None: the default
+    # budget), so that 1-row blocks, several blocks and a ragged last block all run
+    n, c_in, h, w = 3, 2, 7, 6
+    h_out = (h + 2 * padding - kernel) // stride + 1
+    w_out = (w + 2 * padding - kernel) // stride + 1
+    if block_rows is not None:
+        row_bytes = kernel * kernel * c_in * w_out * n * np.dtype(dtype).itemsize
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", block_rows * row_bytes)
+    rng = np.random.default_rng(19)
+    # random values test the sum order; small integers make every sum order exact, so the
+    # float64 loops of ``_naive_conv2d`` give the same bytes too
+    for data in (rng.standard_normal, lambda shape: rng.integers(-3, 4, shape)):
+        k = Tensor(data((4, c_in, kernel, kernel)).astype(dtype))
+        b = Tensor(data(4).astype(dtype))
+        # every other column of a wider array: an input that is not contiguous
+        wide = hcwn(data((n, c_in, h, 2 * w)).astype(dtype))
+        x = Tensor(wide[:, :, ::2], requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        recorded = ad.conv2d(x, k, b, stride=stride, padding=padding)
+        with ad.no_grad():
+            leaf = ad.conv2d(x, k, b, stride=stride, padding=padding)
+        assert leaf.shape == recorded.shape == (h_out, 4, w_out, n)
+        assert leaf.data.dtype == dtype
+        assert leaf.data.tobytes() == recorded.data.tobytes()
+        oracle = _per_row_conv2d(x.data, k.data, b.data, stride, padding)
+        assert leaf.data.tobytes() == oracle.tobytes()
+    naive = _naive_conv2d(nchw(x.data), k.data, b.data, stride, padding).astype(dtype)
+    assert nchw(leaf.data).tobytes() == np.ascontiguousarray(naive).tobytes()

@@ -202,6 +202,7 @@ BAD_CONFIG_VALUES = {
                            ["gen-data", "--set", "val_pairs_per_source=-1"]),
     "negative-cross-content": ("cross_content", ["gen-data", "--set", "cross_content=-3"]),
     "cross-content-of-two": ("cross_content", ["gen-data", "--set", "cross_content=2"]),
+    "no-conv-layer": ("conv_widths", ["gen-data", "--set", "conv_widths="]),
 }
 
 
