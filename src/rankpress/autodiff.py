@@ -44,7 +44,6 @@ __all__ = [
     "gradient_check",
 ]
 
-_counter = itertools.count()
 # the im2col columns a forward-only ``conv2d`` gathers and multiplies at a time
 _BLOCK_BYTES = 1 << 20
 
@@ -67,7 +66,7 @@ class Tensor:
     operation that produced them; leaves (parameters, inputs) have none.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     # make ndarray <op> Tensor dispatch to our reflected operators
     __array_ufunc__ = None
@@ -84,7 +83,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = tuple(_parents)
         self._backward = _backward
-        self._id = next(_counter)
 
     @property
     def shape(self):
@@ -159,19 +157,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _topological_order(out: Tensor) -> list[Tensor]:
     """The tensors below ``out``, each once, every parent before its children."""
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[int] = set()  # id()s: ``out`` keeps every node below it alive, so none is reused
     stack: list[tuple[Tensor, bool]] = [(out, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if node._id in seen:
+        if id(node) in seen:
             continue
-        seen.add(node._id)
+        seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p._id not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -271,21 +269,21 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _node(np.clip(a.data, lo, hi), (a,), (lambda g: g * mask,))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    """max(x, slope * x): for 0 < slope < 1 the same bits as where(x > 0, x, slope * x).
+def leaky_relu(a: Tensor) -> Tensor:
+    """max(x, 0.01 * x): the same bits as where(x > 0, x, 0.01 * x), since 0 < 0.01 < 1.
 
-    The gradient is g times the multiplier fmax(sign(x), slope), built in g's
+    The gradient is g times the multiplier fmax(sign(x), 0.01), built in g's
     dtype: sign gives 1 where x > 0 and -1, ±0 or NaN elsewhere, and fmax
-    takes slope over each of those. That is [slope, 1][x > 0], so the bits are
-    those of where(x > 0, g, slope * g), with no branch and no gather.
+    takes 0.01 over each of those. That is [0.01, 1][x > 0], so the bits are
+    those of where(x > 0, g, 0.01 * g), with no branch and no gather.
     """
     a = _as_tensor(a)
-    out = np.asarray(a.data * slope)  # a 0-d input multiplies to a scalar
+    out = np.asarray(a.data * 0.01)  # a 0-d input multiplies to a scalar
     np.maximum(a.data, out, out=out)
 
     def grad_a(g):
         m = np.sign(a.data, out=np.empty(a.data.shape, g.dtype))
-        np.fmax(m, slope, out=m)
+        np.fmax(m, 0.01, out=m)
         m *= g
         return m
 

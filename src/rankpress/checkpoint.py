@@ -76,7 +76,7 @@ def load_checkpoint(path) -> tuple[NetworkSpec, ParameterSet, dict]:
         return _parse(data)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    # int(), decode(), unpacking and spec.validate() raise ValueErrors; a short line IndexError
+    # int(), decode(), unpacking and NetworkSpec() raise ValueErrors; a short line IndexError
     except (ValueError, IndexError) as exc:
         raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
 
@@ -126,7 +126,6 @@ def _parse(data: bytes) -> tuple[NetworkSpec, ParameterSet, dict]:
         prev = (start, fields)
 
     spec = NetworkSpec(in_ch, height, width, tuple(layers))
-    spec.validate()
     mismatches = spec.shape_mismatches({name: shape for name, (shape, _) in tensors.items()})
     if mismatches:
         raise CheckpointError("tensors disagree with the layer lines: " + "; ".join(mismatches))

@@ -5,7 +5,8 @@ prune, distill, eval. Flags override config-file keys; the effective config
 is echoed into every output directory.
 
 Exit codes: 0 success; 1 usage or config error, a bad config value included;
-2 data error, an eval set too small to score included; 3 numerical failure.
+2 data error, an eval set too small to score or a path of the wrong kind included;
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,15 +22,6 @@ from .pruning import StructureError
 from .stats import StatsError
 from .synthdata import DataFormatError
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-
-
 def _overrides(args) -> dict:
     overrides = {}
     for item in args.set:
@@ -40,64 +32,53 @@ def _overrides(args) -> dict:
     return overrides
 
 
+# subcommand -> (help, pipeline stage, its input flags in the stage's argument order); the
+# stage is called as stage(cfg, *inputs, out), eval's --ckpt list after its inputs
+STAGES = {
+    "gen-data": ("generate train/val/eval containers", pipeline.gen_data, ()),
+    "train-teacher": ("phase 0: train the dense teacher", pipeline.train_teacher, ("data",)),
+    "sparsify": ("phase 1: L1 sparsity training", pipeline.sparsify, ("data", "teacher")),
+    "prune": ("phase 1b: density-driven channel pruning", pipeline.prune, ("sparse",)),
+    "distill": ("phase 2: multi-level distillation", pipeline.distill,
+                ("data", "teacher", "student")),
+    "eval": ("SROCC / F-test evaluation report", pipeline.evaluate, ("eval-data",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rankpress", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate train/val/eval containers")
-    _add_common(p)
-
-    p = sub.add_parser("train-teacher", help="phase 0: train the dense teacher")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-
-    p = sub.add_parser("sparsify", help="phase 1: L1 sparsity training")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--teacher", required=True)
-
-    p = sub.add_parser("prune", help="phase 1b: density-driven channel pruning")
-    _add_common(p)
-    p.add_argument("--sparse", required=True)
-
-    p = sub.add_parser("distill", help="phase 2: multi-level distillation")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--student", required=True)
-    p.add_argument("--freeze-check", action="store_true")
-
-    p = sub.add_parser("eval", help="SROCC / F-test evaluation report")
-    _add_common(p)
-    p.add_argument("--eval-data", required=True)
-    p.add_argument("--ckpt", action="append", required=True,
-                   help="checkpoint to evaluate (repeatable; first vs last compared)")
-
+    for command, (help_text, _, inputs) in STAGES.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=None, help="key=value config file")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key (repeatable)")
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
+    sub.choices["distill"].add_argument("--freeze-check", action="store_true")
+    sub.choices["eval"].add_argument(
+        "--ckpt", action="append", required=True,
+        help="checkpoint to evaluate (repeatable; first vs last compared)")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, stage, flags = STAGES[args.command]
+    inputs = [getattr(args, flag.replace("-", "_")) for flag in flags]
     try:
         cfg = pipeline.load_config(args.config, _overrides(args))
-        if args.command == "gen-data":
-            pipeline.gen_data(cfg, args.out)
-        elif args.command == "train-teacher":
-            pipeline.train_teacher(cfg, args.data, args.out)
-        elif args.command == "sparsify":
-            pipeline.sparsify(cfg, args.data, args.teacher, args.out)
-        elif args.command == "prune":
-            pipeline.prune(cfg, args.sparse, args.out)
-        elif args.command == "distill":
-            pipeline.distill(cfg, args.data, args.teacher, args.student, args.out,
-                             freeze_check=args.freeze_check)
+        if args.command == "distill":
+            stage(cfg, *inputs, args.out, freeze_check=args.freeze_check)
         elif args.command == "eval":
-            print(pipeline.evaluate(cfg, args.eval_data, args.ckpt, args.out))
+            print(stage(cfg, *inputs, args.ckpt, args.out))
+        else:
+            stage(cfg, *inputs, args.out)
     except (ConfigError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, CheckpointError, StatsError, FileNotFoundError) as exc:
+    except (DataFormatError, CheckpointError, StatsError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:

@@ -61,6 +61,7 @@ class NetworkSpec:
     Forward semantics: each conv layer is followed by leaky ReLU (slope 0.01)
     and 2x average pooling; after the last conv comes global average pooling;
     dense layers are separated by leaky ReLU, the last one emits the score.
+    Construction raises ConfigError for a stack that cannot run on the patches.
     """
 
     in_channels: int
@@ -68,7 +69,7 @@ class NetworkSpec:
     width: int
     layers: tuple[LayerSpec, ...]
 
-    def validate(self):
+    def __post_init__(self):
         prev_out = self.in_channels
         seen_dense = False
         for layer in self.layers:
@@ -156,9 +157,7 @@ def build_spec(cfg: PipelineConfig) -> NetworkSpec:
     for i, width in enumerate((*cfg.dense_widths, 1)):  # the last is the score head
         layers.append(LayerSpec(f"fc{i + 1}", "dense", prev, width))
         prev = width
-    spec = NetworkSpec(in_ch, cfg.patch, cfg.patch, tuple(layers))
-    spec.validate()
-    return spec
+    return NetworkSpec(in_ch, cfg.patch, cfg.patch, tuple(layers))
 
 
 def init_params(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> ParameterSet:
@@ -204,14 +203,12 @@ def forward_features(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tens
 def pair_input(spec: NetworkSpec, ref: np.ndarray, dist: np.ndarray, dtype=None) -> Tensor:
     """Assemble the network input: R - D, then D, along channels, as (H, 2C, W, N).
 
-    ``ref`` and ``dist`` are NCHW batches (or one CHW patch each). R - D,
-    taken in the patches' own dtype, and D are each copied once, transposed,
-    into the height-major array of ``dtype`` that the conv stack runs on.
+    ``ref`` and ``dist`` are NCHW batches. R - D, taken in the patches' own
+    dtype, and D are each copied once, transposed, into the height-major array
+    of ``dtype`` that the conv stack runs on.
     """
     ref = np.asarray(ref)
     dist = np.asarray(dist)
-    if ref.ndim == 3:
-        ref, dist = ref[None], dist[None]
     for what, arr in (("reference", ref), ("distorted", dist)):
         mismatch = spec.patch_mismatch(arr.shape[1:])
         if mismatch:
@@ -288,19 +285,15 @@ def forward_chunks(forward: Callable[[slice], np.ndarray], n: int, chunk: int) -
     graph, concatenated in slice order (an empty float64 array for ``n = 0``).
 
     The slices run in ``forward_lanes`` lanes, the calling thread and pool threads, each
-    claiming the next slice until none is left; one lane is a plain loop. numpy releases the GIL in BLAS and in large
-    copies, so the lanes overlap. Every lane enters ``no_grad`` itself and runs in a copy of
+    claiming the next slice until none is left; one lane, the calling thread alone, is a
+    plain loop over the slices. numpy releases the GIL in BLAS and in large copies, so the
+    lanes overlap. Every lane enters ``no_grad`` itself and runs in a copy of
     the caller's context, so an ``np.errstate`` of the caller holds in it too. A slice runs
     the same ops in any lane, so the result is the same bytes for any lane count. A slice
     that raises stops the claims, and the exception of the first failing slice is raised,
     as a loop over the slices would raise it.
     """
     starts = range(0, n, chunk)
-    lanes = forward_lanes(len(starts))
-    if lanes == 1:
-        with ad.no_grad():
-            out = [forward(slice(start, min(start + chunk, n))) for start in starts]
-        return np.concatenate(out) if out else np.empty(0)
     out = [None] * len(starts)
     failed: dict[int, Exception] = {}
     todo = iter(range(len(starts)))
@@ -319,7 +312,7 @@ def forward_chunks(forward: Callable[[slice], np.ndarray], n: int, chunk: int) -
                     failed[k] = exc
 
     helpers = [_lane_pool().submit(contextvars.copy_context().run, lane)
-               for _ in range(lanes - 1)]
+               for _ in range(forward_lanes(len(starts)) - 1)]
     try:
         lane()
     finally:
@@ -330,7 +323,7 @@ def forward_chunks(forward: Callable[[slice], np.ndarray], n: int, chunk: int) -
             helper.result()
     if failed:
         raise failed[min(failed)]
-    return np.concatenate(out)
+    return np.concatenate(out) if out else np.empty(0)
 
 
 def count_params(params: ParameterSet, nonzero_only: bool = False) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .nets import ConfigError, NetworkSpec, ParameterSet
+from .nets import NetworkSpec, ParameterSet
 
 
 class StructureError(ValueError):
@@ -162,9 +162,7 @@ def prune_network(
         new_params[f"{layer.name}.bias"] = Tensor(b[rout].copy(), requires_grad=True)
         new_layers.append(replace(layer, in_ch=rin.size, out_ch=rout.size))
         prev_out = lp.retained_out
-    new_spec = NetworkSpec(spec.in_channels, spec.height, spec.width, tuple(new_layers))
-    new_spec.validate()
-    return new_spec, new_params
+    return replace(spec, layers=tuple(new_layers)), new_params
 
 
 def identity_plan(spec: NetworkSpec) -> PruningPlan:
@@ -177,13 +175,9 @@ def identity_plan(spec: NetworkSpec) -> PruningPlan:
 
 
 def validate_structure(spec: NetworkSpec, params: ParameterSet) -> list[str]:
-    """Spec validity, parameter names and shapes, and a dry-run forward; returns violations."""
+    """Parameter names and shapes, and a dry-run forward; returns violations."""
     from .nets import score_batch  # local import to avoid a cycle at module load
 
-    try:
-        spec.validate()
-    except ConfigError as exc:
-        return [str(exc)]
     violations = spec.shape_mismatches({name: p.data.shape for name, p in params.items()})
     if not violations:
         c = spec.in_channels // 2

@@ -439,10 +439,13 @@ def compare_models(candidate: EvalReport, reference: EvalReport) -> ModelCompari
 
 
 def format_comparison(cmp: ModelComparison) -> str:
-    """Aligned-text table with SROCC(F-verdict) cells and retention ratios."""
-    lines = [f"{'dataset':<16} {cmp.candidate:>18} {cmp.reference:>18}"]
-    for name, (sc, sr, verdict) in cmp.per_dataset.items():
-        lines.append(f"{name:<16} {sc:>12.4f} ({verdict:+d}) {sr:>13.4f}     ")
+    """Text table of SROCC(F-verdict) cells, each column as wide as its longest entry and
+    the cells right-aligned under the model names, then the retention ratios."""
+    rows = [("dataset", cmp.candidate, cmp.reference)]
+    rows += [(name, f"{sc:.4f} ({verdict:+d})", f"{sr:.4f}")
+             for name, (sc, sr, verdict) in cmp.per_dataset.items()]
+    w = [max(len(row[i]) for row in rows) for i in range(3)]
+    lines = [f"{name:<{w[0]}}  {cand:>{w[1]}}  {ref:>{w[2]}}" for name, cand, ref in rows]
     lines.append(f"params retained: {100.0 * cmp.params_ratio:.2f}%")
     lines.append(f"flops retained: {100.0 * cmp.flops_ratio:.2f}%")
     lines.append(f"srocc retention: {100.0 * cmp.srocc_retention:.2f}%")

@@ -206,7 +206,35 @@ BAD_CONFIG_VALUES = {
 }
 
 
+# case -> CLI arguments naming a path of the wrong kind, where {tmp} holds the file "afile" and
+# the directory "adir", {data} is the tiny pipeline's data and {teacher} its teacher checkpoint;
+# each case must exit 2
+WRONG_KIND_PATHS = {
+    "config-is-a-directory": ["gen-data", "--config", "{tmp}/adir", "--out", "{tmp}/o"],
+    "out-is-a-file": ["gen-data", "--out", "{tmp}/afile"],
+    "out-below-a-file": ["gen-data", "--out", "{tmp}/afile/sub"],
+    "data-is-a-file": ["train-teacher", "--data", "{tmp}/afile", "--out", "{tmp}/o"],
+    "data-is-a-container": ["train-teacher", "--data", "{data}/train.rpds", "--out", "{tmp}/o"],
+    "sparse-is-a-directory": ["prune", "--sparse", "{tmp}/adir", "--out", "{tmp}/o"],
+    "teacher-is-a-directory": ["sparsify", "--data", "{data}", "--teacher", "{tmp}/adir",
+                               "--out", "{tmp}/o"],
+    "eval-data-is-a-directory": ["eval", "--eval-data", "{tmp}/adir", "--ckpt", "{teacher}",
+                                 "--out", "{tmp}/o"],
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(WRONG_KIND_PATHS))
+    def test_path_of_the_wrong_kind_is_data_error(self, case, artifacts, tmp_path, capsys):
+        (tmp_path / "afile").write_text("epochs=2\n")
+        (tmp_path / "adir").mkdir()
+        d = artifacts[1]
+        argv = [a.format(tmp=tmp_path, data=d["data"], teacher=d["teacher"] + "/teacher.ckpt")
+                for a in WRONG_KIND_PATHS[case]]
+        assert run(argv[:1] + _sets() + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
     def test_bad_config_value_is_config_error(self, case, artifacts, tmp_path, capsys):
         named, argv = BAD_CONFIG_VALUES[case]
@@ -369,11 +397,42 @@ class TestExitCodes:
         assert code == 1
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    # a fresh process: the tests themselves import scipy as an oracle
+def _src_env() -> dict:
+    """The environment of a fresh process that imports this checkout's ``rankpress``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# subcommand -> the flags its --help lists besides --config, --out and --set
+SUBCOMMAND_FLAGS = {
+    "gen-data": [],
+    "train-teacher": ["--data"],
+    "sparsify": ["--data", "--teacher"],
+    "prune": ["--sparse"],
+    "distill": ["--data", "--teacher", "--student", "--freeze-check"],
+    "eval": ["--eval-data", "--ckpt"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMAND_FLAGS])
+def test_module_entry_point_help(command):
+    argv = [sys.executable, "-m", "rankpress", *filter(None, [command]), "--help"]
+    out = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stderr == ""
+    if command is None:
+        assert all(name in out.stdout for name in SUBCOMMAND_FLAGS)
+        return
+    assert out.stdout.startswith(f"usage: rankpress {command} ")
+    for flag in ["--config", "--out", "--set", *SUBCOMMAND_FLAGS[command]]:
+        assert f" {flag}" in out.stdout, flag
+    if command == "eval":
+        assert "checkpoint to evaluate (repeatable; first vs last" in out.stdout
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh process: the tests themselves import scipy as an oracle
+    env = _src_env()
     script = ("import sys\n"
               "from rankpress.cli import run\n"
               "code = run(sys.argv[1:])\n"

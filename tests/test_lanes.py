@@ -81,6 +81,19 @@ def test_two_lanes_share_the_chunks_and_keep_their_order(monkeypatch):
         assert out.tobytes() == (np.float32(3e38) * np.arange(23, dtype=np.float32)).tobytes()
 
 
+def test_one_lane_is_the_calling_thread_alone_without_a_pool(monkeypatch):
+    _force_lanes(monkeypatch, 1)
+    monkeypatch.setattr(nets, "_lane_pool", lambda: pytest.fail("one lane created the pool"))
+    threads = set()
+
+    def forward(rows):
+        threads.add(threading.get_ident())
+        return np.arange(rows.start, rows.stop)
+
+    assert forward_chunks(forward, 23, 5).tolist() == list(range(23))
+    assert threads == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_a_failing_chunk_raises_as_a_loop_over_the_chunks_would(monkeypatch, lanes):
     _force_lanes(monkeypatch, lanes)

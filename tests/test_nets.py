@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,8 @@ def test_patches_of_another_geometry_rejected(small_net):
         pair_input(spec, bad, good)
     with pytest.raises(ShapeError, match="distorted: 1x16x12 patches do not fit"):
         pair_input(spec, good, bad)
+    with pytest.raises(ShapeError, match="reference: 16x16 patches do not fit"):
+        pair_input(spec, good[0], good[0])  # one CHW patch, not an NCHW batch
 
 
 def test_identical_pair_has_zero_difference_channel(small_net):
@@ -172,9 +176,15 @@ def test_geometry_walk_rejects_what_does_not_fit():
     # build_spec pads by kernel // 2, which keeps every kernel inside the padded input,
     # so an unpadded spec reaches the kernel check
     head = LayerSpec("fc1", "dense", 4, 1)
-    too_wide = NetworkSpec(2, 4, 4, (LayerSpec("conv1", "conv", 2, 4, 5, 1, 0), head))
     with pytest.raises(ConfigError, match="kernel 5 exceeds padded input 4x4"):
-        too_wide.validate()
-    zero_stride = NetworkSpec(2, 4, 4, (LayerSpec("conv1", "conv", 2, 4, 3, 0, 1), head))
+        NetworkSpec(2, 4, 4, (LayerSpec("conv1", "conv", 2, 4, 5, 1, 0), head))
     with pytest.raises(ConfigError, match="bad width, kernel, stride or padding"):
-        zero_stride.validate()
+        NetworkSpec(2, 4, 4, (LayerSpec("conv1", "conv", 2, 4, 3, 0, 1), head))
+
+
+def test_a_spec_cannot_be_changed_into_an_invalid_one():
+    spec = build_spec(PipelineConfig(patch=16, conv_widths=(4, 8), dense_widths=(8,)))
+    with pytest.raises(ConfigError, match="patch too small"):
+        dataclasses.replace(spec, height=2)
+    with pytest.raises(ConfigError, match="single-unit dense score head"):
+        dataclasses.replace(spec, layers=spec.layers[:-1])

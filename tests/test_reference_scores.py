@@ -43,7 +43,6 @@ def test_predict_scores_match_the_reference_forward(tmp_path, monkeypatch):
               nets.LayerSpec("conv2", "conv", 3, 5, 3, 1, 1),
               nets.LayerSpec("fc1", "dense", 5, 6), nets.LayerSpec("fc2", "dense", 6, 1))
     spec = nets.NetworkSpec(4, 12, 16, layers)
-    spec.validate()
     params = nets.init_params(spec, seed=7)
     rng = np.random.default_rng(7)
     for name, p in params.items():  # nonzero biases, so a misplaced bias shows

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rankpress.nets import PREDICT_ROWS, build_teacher
 from rankpress.pipeline import PipelineConfig
 from rankpress.stats import (
+    ModelComparison,
     StatsError,
     _lm,
     average_ranks,
@@ -443,6 +444,21 @@ class TestEvaluate:
         assert cmp.flops_ratio == pytest.approx(cand.flops / ref.flops, abs=1e-12)
         text = format_comparison(cmp)
         assert "params" in text and "%" in text
+
+    def test_comparison_table_cells_end_under_the_model_names(self):
+        per = {name: (0.9 - 0.45 * i, 0.85 - 0.3 * i, (-1, 0, 1)[i % 3])
+               for i, name in enumerate(["all", *KINDS])}  # negative SROCCs included
+        cmp = ModelComparison("distilled", "teacher", per, 0.16, 0.13, 1.04)
+        lines = format_comparison(cmp).splitlines()
+        header, rows = lines[0], lines[1 : 1 + len(per)]
+        ends = [header.index(name) + len(name) for name in ("distilled", "teacher")]
+        for row, name in zip(rows, per):
+            assert row.startswith(name + " ")
+            for end in ends:  # the cell's last character is in the name's last column
+                assert row[end - 1] != " " and row[end : end + 1] in ("", " "), (row, end)
+            assert len(row) == len(header)
+        assert not any(line.endswith(" ") for line in lines)
+        assert lines[-1] == "srocc retention: 104.00%"
 
     def test_two_models_equal_each_model_alone(self, eval_setup):
         (spec, params), items = eval_setup
